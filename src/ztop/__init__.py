@@ -2,7 +2,6 @@
 decompositions, and neighbourhood/convergence analysis of the uniform and
 linear group topologies a divisibility chain induces on the integers."""
 
-from ztop._kernels import BACKEND as KERNEL_BACKEND
 from ztop.convergence import (
     FAMILIES,
     BlockStatistics,
@@ -65,6 +64,8 @@ from ztop.pivots import (
 from ztop.torus import TorusPoint, add, canonicalize, in_arc, int_scale, parse_rational, rat_str
 
 __version__ = "0.1.0"
+
+KERNEL_BACKEND = "python"  # the kernels in ztop._kernels are pure Python
 
 __all__ = [
     "KERNEL_BACKEND",

@@ -166,6 +166,19 @@ def _build_parser():
     return parser
 
 
+def _integer_option(key, value):
+    """An int, or the text of one; config booleans and floats are refused
+    rather than truncated."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif type(value) is int:
+        return value
+    raise ValueError(f"option --{key.replace('_', '-')} must be an integer, got {value!r}")
+
+
 class _Settings:
     """Resolves each option as: explicit flag, else config file, else default."""
 
@@ -173,14 +186,14 @@ class _Settings:
         self.args = args
         self.config = config
 
-    def get(self, key, default=None, required=False, cast=None):
+    def get(self, key, default=None, required=False, integer=False):
         value = getattr(self.args, key, None)
         if value is None:
             value = self.config.get(key, default)
         if value is None and required:
             raise ValueError(f"missing required option --{key.replace('_', '-')}")
-        if value is not None and cast is not None:
-            value = cast(value)
+        if value is not None and integer:
+            value = _integer_option(key, value)
         return value
 
     def echo(self, keys):
@@ -188,8 +201,8 @@ class _Settings:
 
 
 def _spec_from(settings, pivots):
-    m = settings.get("m", cast=int)
-    n = settings.get("n", cast=int)
+    m = settings.get("m", integer=True)
+    n = settings.get("n", integer=True)
     if (m is None) == (n is None):
         raise ValueError("exactly one of --m (uniform) or --n (linear) is required")
     return NeighborhoodSpec(pivots, Uniform(m) if m is not None else Linear(n))
@@ -197,7 +210,7 @@ def _spec_from(settings, pivots):
 
 def _run_decompose(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    l = settings.get("l_value", required=True, cast=int)
+    l = settings.get("l_value", required=True, integer=True)
     report = Report("decompose", settings.echo(["pivots", "l_value", "seed"]))
     coeffs = decompose(l, pivots)
     check = recompose_and_check(coeffs)
@@ -217,8 +230,8 @@ def _run_decompose(settings):
 
 def _run_member(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    m = settings.get("m", required=True, cast=int)
-    k = settings.get("k", required=True, cast=int)
+    m = settings.get("m", required=True, integer=True)
+    k = settings.get("k", required=True, integer=True)
     report = Report("member", settings.echo(["pivots", "m", "k", "seed"]))
     coeffs = decompose(k, pivots)
     direct = member_direct(k, pivots, m)
@@ -243,7 +256,7 @@ def _run_converge(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     seq = make_sequence(settings.get("sequence", required=True), pivots)
     spec = _spec_from(settings, pivots)
-    horizon = settings.get("horizon", required=True, cast=int)
+    horizon = settings.get("horizon", required=True, integer=True)
     report = Report("converge", settings.echo(["pivots", "sequence", "m", "n", "horizon", "seed"]))
     verdict = prefix_test(seq, spec, horizon)
     report.add(
@@ -263,8 +276,8 @@ def _run_converge(settings):
 def _run_blocks(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     seq = make_sequence(settings.get("sequence", required=True), pivots)
-    horizon = settings.get("horizon", required=True, cast=int)
-    levels = settings.get("levels", cast=int)
+    horizon = settings.get("horizon", required=True, integer=True)
+    levels = settings.get("levels", integer=True)
     thresholds_text = settings.get("thresholds")
     report = Report(
         "blocks",
@@ -309,8 +322,8 @@ def _run_blocks(settings):
 def _run_discrete(settings):
     xs_text = settings.get("xs", required=True)
     xs = [parse_rational(x) for x in str(xs_text).split(",")]
-    ratio_bound = settings.get("ratio_bound", required=True, cast=int)
-    window = settings.get("window", 100, cast=int)
+    ratio_bound = settings.get("ratio_bound", required=True, integer=True)
+    window = settings.get("window", 100, integer=True)
     report = Report("discrete", settings.echo(["xs", "ratio_bound", "window", "seed"]))
     witness = discreteness_witness(xs, ratio_bound, window)
     report.add(
@@ -342,11 +355,11 @@ def _run_dual(settings):
         "generated_member": generated,
     }
     status = EXIT_OK
-    m = settings.get("m", cast=int)
-    n = settings.get("n", cast=int)
+    m = settings.get("m", integer=True)
+    n = settings.get("n", integer=True)
     if m is not None or n is not None:
         spec = _spec_from(settings, pivots)
-        window = settings.get("window", 1000, cast=int)
+        window = settings.get("window", 1000, integer=True)
         wcheck = continuity_window_check(chi, spec, window)
         row["window"] = window
         row["window_ok"] = wcheck.ok
@@ -372,7 +385,7 @@ ACCEPTANCE_SWEEPS = [
 
 def _run_verify(settings):
     quick = bool(settings.get("quick", False))
-    seed = settings.get("seed", 0, cast=int)
+    seed = settings.get("seed", 0, integer=True)
     report = Report("verify-paper", {"quick": quick, "seed": seed})
     all_ok = True
     for name, ok, detail in regressions.run_paper_checks(seed=seed):

@@ -29,10 +29,10 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ztop._kernels import member_direct_scan, wrap_half
+from ztop._kernels import first_arc_exit, wrap_half
 from ztop.neighborhoods import NeighborhoodSpec, Uniform
-from ztop.pivots import BitBudgetExceeded, PivotSequence
-from ztop.torus import TorusPoint, check_level
+from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
+from ztop.torus import TorusPoint, check_level, check_positive_int
 
 FAMILIES = (
     "pow2",
@@ -52,12 +52,15 @@ class IntegerSequence(NamedTuple):
 
     ``pivots`` feeds the chain-derived families (geomdiff, wgeomdiff,
     pivothalf, pivotsucc). ``fn`` backs the programmatic ``custom`` family,
-    which has no CLI text form.
+    which has no CLI text form. ``bit_budget`` caps the terms of the
+    two-power families (pow2, blockexample); ``make_sequence`` sets it to the
+    chain's budget, or without a chain to ZTOP_BIT_BUDGET or the default.
     """
 
     family: str
     pivots: Optional[PivotSequence] = None
     fn: Optional[Callable[[int], int]] = None
+    bit_budget: Optional[int] = None
 
 
 def make_sequence(
@@ -73,7 +76,8 @@ def make_sequence(
         raise ValueError(f"unknown sequence family {family!r}")
     if family in _NEEDS_PIVOTS and pivots is None:
         raise ValueError(f"family {family!r} is defined over a pivot chain")
-    return IntegerSequence(family, pivots, fn)
+    budget = pivots.bit_budget if pivots is not None else resolve_bit_budget()
+    return IntegerSequence(family, pivots, fn, budget)
 
 
 def eval_sequence(seq: IntegerSequence, j: int) -> int:
@@ -109,9 +113,9 @@ def eval_sequence(seq: IntegerSequence, j: int) -> int:
 
 
 def _check_shift(seq, width):
-    from ztop.pivots import DEFAULT_BIT_BUDGET
-
-    budget = seq.pivots.bit_budget if seq.pivots is not None else DEFAULT_BIT_BUDGET
+    budget = seq.bit_budget
+    if budget is None:  # built directly, not through make_sequence
+        budget = seq.pivots.bit_budget if seq.pivots is not None else resolve_bit_budget()
     if width + 1 > budget:
         raise BitBudgetExceeded(f"term needs {width + 1} bits (budget {budget})")
 
@@ -135,21 +139,12 @@ def _first_uniform_failure(l: int, pivots: PivotSequence, m: int):
     or None when l is a member."""
     if l == 0:
         return None
-    al = -l if l < 0 else l
-    terms = pivots.terms_until(4 * m * al)
-    if member_direct_scan(l, terms, m):
+    terms = pivots.terms_until(4 * m * (-l if l < 0 else l))
+    n = first_arc_exit(l, terms, m)
+    if n is None:
         return None
-    bound = 4 * m * al
-    n = 1
-    while True:
-        b = terms[n]
-        if b >= bound:
-            raise AssertionError("scan disagreement: no failing index found")
-        t = wrap_half(l, b)
-        ta = -t if t < 0 else t
-        if 4 * m * ta > b:
-            return n, TorusPoint(Fraction(t, b))
-        n += 1
+    b = terms[n]
+    return n, TorusPoint(Fraction(wrap_half(l, b), b))
 
 
 class Verdict(NamedTuple):
@@ -255,8 +250,8 @@ def block_statistics(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    cap = horizon if levels is None else check_positive_int(levels, "levels")
     values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
-    cap = levels if levels is not None else horizon
     settle: dict[int, int] = {}
     missing: list[int] = []
     note = ""

@@ -13,6 +13,7 @@ empty digit list and recomposes to 0.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -64,11 +65,8 @@ def decompose(l: int, pivots: PivotSequence) -> PivotCoefficients:
         return PivotCoefficients(0, (), pivots, None)
     al = -l if l < 0 else l
     terms = pivots.terms_until(al)
-    digits = decompose_digits(l, terms)
-    top = 0
-    while terms[top] < al:
-        top += 1
-    return PivotCoefficients(l, tuple(digits), pivots, top)
+    top = bisect_left(terms, al)
+    return PivotCoefficients(l, tuple(decompose_digits(l, terms, top)), pivots, top)
 
 
 def coefficients_from_digits(
@@ -94,6 +92,7 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
     digits = coeffs.coeffs
     if not digits:
         return CoefficientCheck(0, coeffs.source == 0, True, True)
-    terms = coeffs.pivots.terms(len(digits) + 1)
-    value, digit_ok, partial_ok = coefficient_checks(list(digits), terms)
+    pivots = coeffs.pivots
+    pivots.term(len(digits))
+    value, digit_ok, partial_ok = coefficient_checks(digits, pivots.memo)
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)

@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 from ztop._kernels import member_direct_scan, member_partial_scan, wrap_half
 from ztop.decomposition import PivotCoefficients
 from ztop.pivots import PivotSequence
-from ztop.torus import check_level
+from ztop.torus import check_level, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,9 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
     digits = coeffs.coeffs
     if not digits:
         return True
-    terms = coeffs.pivots.terms(len(digits) + 1)
+    pivots = coeffs.pivots
+    pivots.term(len(digits))
+    terms = pivots.memo
     for n, k in enumerate(digits):
         ak = -k if k < 0 else k
         if 8 * m * ak * terms[n] > factor * terms[n + 1]:
@@ -178,9 +180,7 @@ def discreteness_witness(
     xs = [Fraction(x) for x in xs]
     if not xs:
         raise ValueError("need a nonempty sequence prefix")
-    m = int(ratio_bound)
-    if m < 1:
-        raise ValueError("ratio bound must be a positive integer")
+    m = check_positive_int(ratio_bound, "ratio bound")
     if brute_window < 1:
         raise ValueError("brute-force window must be positive")
     half = Fraction(1, 2)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -118,7 +119,8 @@ def parse_descriptor(text: str) -> PivotDescriptor:
     raise ValueError(f"unknown pivot descriptor {text!r}")
 
 
-def _resolve_budget(bit_budget):
+def resolve_bit_budget(bit_budget: int | None = None) -> int:
+    """The given budget, else ZTOP_BIT_BUDGET, else the default."""
     if bit_budget is not None:
         return int(bit_budget)
     env = os.environ.get(BIT_BUDGET_ENV)
@@ -136,7 +138,7 @@ class PivotSequence:
 
     def __init__(self, descriptor: PivotDescriptor, bit_budget: int | None = None):
         self.descriptor = descriptor
-        self.bit_budget = _resolve_budget(bit_budget)
+        self.bit_budget = resolve_bit_budget(bit_budget)
         self._memo: list[int] = [1]
         self._exps: list[int] | None = [0] if isinstance(descriptor, TwoPowerExponent) else None
         self._lock = threading.Lock()
@@ -166,15 +168,26 @@ class PivotSequence:
         """Memoized prefix whose last needed term is >= bound, plus ``extra``.
 
         Returns the live memo list for speed; callers must treat it as
-        read-only. The list is guaranteed to contain a term >= max(bound, 1).
+        read-only. The list is guaranteed to contain a term >= max(bound, 1)
+        and ``extra`` terms after the first such term.
         """
-        if bound < 1:
-            bound = 1
-        n = 0
-        while self.term(n) < bound:
-            n += 1
-        for i in range(extra):
-            self.term(n + 1 + i)
+        memo = self._memo
+        if memo[-1] < bound:
+            with self._lock:
+                while memo[-1] < bound:
+                    self._append_next()
+        if extra:
+            last = bisect_left(memo, bound) + extra
+            if last >= len(memo):
+                with self._lock:
+                    while len(memo) <= last:
+                        self._append_next()
+        return memo
+
+    @property
+    def memo(self) -> list[int]:
+        """The live memo [b_0, ..., b_T] of every term evaluated so far;
+        callers must treat it as read-only."""
         return self._memo
 
     def exponent(self, n: int) -> int | None:

@@ -69,8 +69,16 @@ def int_scale(k: int, x: TorusPoint) -> TorusPoint:
     return canonicalize(k * x.rep)
 
 
+def check_positive_int(value, what: str) -> int:
+    """``value`` if it is an int >= 1; bools, floats and other types are
+    refused rather than truncated."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def check_level(m: int) -> int:
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"arc level must be a positive integer, got {m!r}")
     return m
 

@@ -158,6 +158,15 @@ def test_config_errors(tmp_path, capsys):
     assert run_cli(capsys, "member", "--pivots", "square", "--m", "1")[0] == 2  # missing --k
 
 
+@pytest.mark.parametrize("m", [True, 1.9, 2.0, "x"])
+def test_config_rejects_non_integer_options(tmp_path, capsys, m):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "square", "m": m, "k": 128}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "member")
+    assert status == 2
+    assert out == "" and "--m" in err
+
+
 def test_output_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -12,7 +12,7 @@ from ztop.convergence import (
     prefix_test,
 )
 from ztop.neighborhoods import Linear, Uniform, member_direct
-from ztop.pivots import make_pivots
+from ztop.pivots import BitBudgetExceeded, make_pivots
 from ztop.torus import canonicalize, in_arc
 
 HALF = canonicalize(Fraction(1, 2))
@@ -36,6 +36,19 @@ def test_blockexample_values():
     assert eval_sequence(seq, 14) == 2**16
     assert eval_sequence(seq, 3) == 2**3
     assert eval_sequence(seq, 8) == 2**8
+
+
+def test_pow2_honours_bit_budget_env(monkeypatch):
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", "64")
+    pow2 = make_sequence("pow2")
+    block = make_sequence("blockexample")
+    monkeypatch.delenv("ZTOP_BIT_BUDGET")  # resolved when the sequence was made
+    assert eval_sequence(pow2, 63) == 2**63
+    with pytest.raises(BitBudgetExceeded):
+        eval_sequence(pow2, 200)
+    with pytest.raises(BitBudgetExceeded):
+        eval_sequence(block, 64)
+    assert eval_sequence(make_sequence("pow2"), 200) == 2**200
 
 
 def test_make_sequence_validation(square):
@@ -176,6 +189,12 @@ def test_blocks_partition(square, linear):
             covered.extend(range(lo, hi + 1))
         expected_top = spans[-1][1]
         assert covered == list(range(stats.settle[1], expected_top + 1))
+
+
+@pytest.mark.parametrize("levels", [0, -2, True, 1.5])
+def test_blocks_reject_bad_levels(square, levels):
+    with pytest.raises(ValueError):
+        block_statistics(make_sequence("zero"), square, horizon=5, levels=levels)
 
 
 def test_blocks_missing_levels(factorial):

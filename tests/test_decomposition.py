@@ -116,6 +116,18 @@ def test_top_index_minimal(square):
         assert top == 0 or square.term(top - 1) < l
 
 
+@pytest.mark.parametrize("text", FAMILY_TEXTS)
+def test_top_index_matches_linear_scan(text):
+    pivots = _pivot_cache[text]
+    assert decompose(0, pivots).top_index is None
+    for l in range(-2000, 2001):
+        if l:
+            n = 0
+            while pivots.term(n) < abs(l):
+                n += 1
+            assert decompose(l, pivots).top_index == n
+
+
 def test_budget_error_propagates():
     tiny = make_pivots("square", bit_budget=40)
     with pytest.raises(Exception):

@@ -165,3 +165,7 @@ def test_discreteness_precondition_violations():
         discreteness_witness([Fraction(1, 4), Fraction(1, 2)], ratio_bound=2, brute_window=10)
     with pytest.raises(ValueError):
         discreteness_witness([], ratio_bound=2, brute_window=10)
+    halving = [Fraction(1, 2), Fraction(1, 4)]
+    for ratio_bound in (2.9, 2.0, True, 0):
+        with pytest.raises(ValueError):
+            discreteness_witness(halving, ratio_bound=ratio_bound, brute_window=10)

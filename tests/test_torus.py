@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ztop.torus import TorusPoint, add, canonicalize, in_arc, int_scale, parse_rational, rat_str
+from ztop.torus import (
+    TorusPoint,
+    add,
+    canonicalize,
+    check_level,
+    in_arc,
+    int_scale,
+    parse_rational,
+    rat_str,
+)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=10**4)
 
@@ -51,6 +60,12 @@ def test_in_arc_examples():
     assert in_arc(canonicalize(F("-1/8")), 2)  # closed endpoint, negative side
     with pytest.raises(ValueError):
         in_arc(canonicalize(0), 0)
+
+
+@pytest.mark.parametrize("level", [0, -1, True, False, 1.0, 2.5, "1"])
+def test_check_level_rejects_non_levels(level):
+    with pytest.raises(ValueError):
+        check_level(level)
 
 
 @given(rationals)
