@@ -53,8 +53,9 @@ class IntegerSequence(NamedTuple):
     ``pivots`` feeds the chain-derived families (geomdiff, wgeomdiff,
     pivothalf, pivotsucc). ``fn`` backs the programmatic ``custom`` family,
     which has no CLI text form. ``bit_budget`` caps the terms of the
-    two-power families (pow2, blockexample); ``make_sequence`` sets it to the
-    chain's budget, or without a chain to ZTOP_BIT_BUDGET or the default.
+    two-power families (pow2, blockexample); ``make_sequence`` resolves it
+    once, because those terms are evaluated thousands of times per
+    ``verify-paper`` run and reading ZTOP_BIT_BUDGET for each one is slower.
     """
 
     family: str
@@ -76,8 +77,7 @@ def make_sequence(
         raise ValueError(f"unknown sequence family {family!r}")
     if family in _NEEDS_PIVOTS and pivots is None:
         raise ValueError(f"family {family!r} is defined over a pivot chain")
-    budget = pivots.bit_budget if pivots is not None else resolve_bit_budget()
-    return IntegerSequence(family, pivots, fn, budget)
+    return IntegerSequence(family, pivots, fn, _sequence_budget(pivots))
 
 
 def eval_sequence(seq: IntegerSequence, j: int) -> int:
@@ -112,10 +112,15 @@ def eval_sequence(seq: IntegerSequence, j: int) -> int:
     raise ValueError(f"unknown sequence family {fam!r}")
 
 
+def _sequence_budget(pivots):
+    """The chain's bit budget, else ZTOP_BIT_BUDGET, else the default."""
+    return pivots.bit_budget if pivots is not None else resolve_bit_budget()
+
+
 def _check_shift(seq, width):
     budget = seq.bit_budget
     if budget is None:  # built directly, not through make_sequence
-        budget = seq.pivots.bit_budget if seq.pivots is not None else resolve_bit_budget()
+        budget = _sequence_budget(seq.pivots)
     if width + 1 > budget:
         raise BitBudgetExceeded(f"term needs {width + 1} bits (budget {budget})")
 

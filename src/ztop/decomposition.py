@@ -92,7 +92,6 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
     digits = coeffs.coeffs
     if not digits:
         return CoefficientCheck(0, coeffs.source == 0, True, True)
-    pivots = coeffs.pivots
-    pivots.term(len(digits))
-    value, digit_ok, partial_ok = coefficient_checks(digits, pivots.memo)
+    terms = coeffs.pivots.terms_until(1, extra=len(digits))
+    value, digit_ok, partial_ok = coefficient_checks(digits, terms)
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)

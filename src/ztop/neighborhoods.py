@@ -96,9 +96,7 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
     digits = coeffs.coeffs
     if not digits:
         return True
-    pivots = coeffs.pivots
-    pivots.term(len(digits))
-    terms = pivots.memo
+    terms = coeffs.pivots.terms_until(1, extra=len(digits))
     for n, k in enumerate(digits):
         ak = -k if k < 0 else k
         if 8 * m * ak * terms[n] > factor * terms[n + 1]:

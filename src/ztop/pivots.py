@@ -184,12 +184,6 @@ class PivotSequence:
                         self._append_next()
         return memo
 
-    @property
-    def memo(self) -> list[int]:
-        """The live memo [b_0, ..., b_T] of every term evaluated so far;
-        callers must treat it as read-only."""
-        return self._memo
-
     def exponent(self, n: int) -> int | None:
         """a_n for two-power chains (b_n = 2^(a_n)); None otherwise."""
         if self._exps is None:

@@ -160,14 +160,14 @@ def test_terms_until_grows_only_as_needed():
     assert seq.terms_until(17) == [1, 2, 16, 512]  # a bound past the memo grows it
     assert seq.terms_until(3, extra=1) == [1, 2, 16, 512]  # extra counts from b_2 >= 3
     assert seq.terms_until(3, extra=2) == [1, 2, 16, 512, 65536]
-    assert seq.terms_until(2**9) is seq.memo  # the live memo, not a copy
+    assert seq.terms_until(2**9) is seq.terms_until(1)  # the live memo, not a copy
 
 
 def test_terms_until_budget_refusal_keeps_memo_consistent():
     seq = make_pivots("square", bit_budget=100)
     with pytest.raises(BitBudgetExceeded):
         seq.terms_until(2**81 + 1)  # needs b_10 = 2^100, 101 bits
-    assert seq.memo == [2 ** (n * n) for n in range(10)]
+    assert seq.terms_until(1) == [2 ** (n * n) for n in range(10)]
     assert [seq.exponent(n) for n in range(10)] == [n * n for n in range(10)]
     with pytest.raises(BitBudgetExceeded):
         seq.terms_until(2**81, extra=1)  # b_9 = 2^81, then b_10
@@ -177,7 +177,8 @@ def test_terms_until_budget_refusal_keeps_memo_consistent():
     chain = make_pivots(MultiplierChain((2, 3)), bit_budget=10)
     with pytest.raises(BitBudgetExceeded):
         chain.terms_until(2**10)
-    assert validate_prefix(chain.memo).ok and chain.memo[-1] < 2**10
+    memo = chain.terms_until(1)
+    assert validate_prefix(memo).ok and memo[-1] < 2**10
     assert chain.terms_until(100)[-1] == 432  # served from the memo
 
 
