@@ -1,11 +1,13 @@
 """Integer kernels for the hot paths: rounding, circle wrapping, balanced
-digit extraction, and neighbourhood membership scans.
+digit extraction, neighbourhood membership scans and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
 """
 
 from bisect import bisect_left
+from itertools import compress
+from math import gcd
 
 
 def nearest_int_div(p, q):
@@ -115,9 +117,9 @@ def member_partial_scan(k, terms, m):
     """Membership via the partial-sum criterion on the balanced digits of k.
 
     k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1; the
-    scan stops once b_n >= 4m|k| and all digits are consumed (the partial
-    sum then equals k and later indices pass automatically). ``terms`` must
-    extend one term past the first term >= 4m|k|.
+    scan stops at the first b_n >= 4m|k|. From there on every digit rounds
+    to 0, so the partial sum already equals k and later indices pass.
+    ``terms`` must contain a term >= 4m|k|.
     """
     if k == 0:
         return True
@@ -134,6 +136,73 @@ def member_partial_scan(k, terms, m):
         ap = -partial if partial < 0 else partial
         if 4 * m * ap > b:
             return False
-        if b >= bound and n >= nd:
+        if b >= bound:
             return True
         n += 1
+
+
+def arc_sieve(lo, hi, conds):
+    """Mask of the k in [lo, hi] that satisfy every arc condition.
+
+    A condition (p, q, level), with q >= 1 and level >= 1, holds for k iff
+    4 * level * |wrap_half(k * p, q)| <= q, that is iff k*p/q lies in the
+    closed arc [-1/(4 level), 1/(4 level)]. It depends on k mod q only: the
+    allowed residues are p^-1 * t with |t| <= q // (4 level), and the
+    failing ones are struck out with slice assignment. When p = 1 (mod q)
+    the failing k form one run per period, so the kernel takes whichever
+    costs fewer slices: one slice per period or one stride-q slice per
+    failing residue. Any other condition is struck out residue by residue
+    while the failing residues are no more than the k still standing, and is
+    otherwise checked directly on the survivors, as is one whose p has no
+    inverse mod q.
+
+    Byte i of the returned bytearray is 1 iff lo + i satisfies every
+    condition. Since |wrap_half(-x, q)| == |wrap_half(x, q)|, the mask of
+    [-hi, -lo] is this one reversed.
+    """
+    size = hi - lo + 1
+    if size <= 0:
+        return bytearray()
+    mask = bytearray(b"\x01") * size
+    zeros = memoryview(bytes(size))
+    direct = []
+    for p, q, level in conds:
+        r = q // (4 * level)
+        gap = q - 2 * r - 1  # failing residues per period: t = r+1 .. q-r-1
+        if gap <= 0:
+            continue
+        if p % q == 1:
+            if size // q + 2 <= gap:
+                start = lo + (r + 1 - lo) % q - q
+                for a in range(start, hi + 1, q):
+                    i0 = a - lo if a > lo else 0
+                    i1 = a + gap - lo
+                    if i1 > size:
+                        i1 = size
+                    if i0 < i1:
+                        mask[i0:i1] = zeros[: i1 - i0]
+                continue
+            inv = 1
+        else:
+            live = mask.count(1)
+            if live == 0:
+                return mask
+            if gap > live or gcd(p, q) != 1:
+                direct.append((p, q, 4 * level))
+                continue
+            inv = pow(p, -1, q)
+        for t in range(r + 1, q - r):
+            i0 = (inv * t - lo) % q
+            if i0 < size:
+                mask[i0::q] = zeros[: (size - 1 - i0) // q + 1]
+    if direct:
+        for i in list(compress(range(size), mask)):
+            k = lo + i
+            for p, q, bound in direct:
+                t = k * p % q
+                if (t << 1) >= q:
+                    t = q - t
+                if bound * t > q:
+                    mask[i] = 0
+                    break
+    return mask

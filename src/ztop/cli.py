@@ -163,10 +163,15 @@ def _build_parser():
     p = sub.add_parser("verify-paper", help="run every built-in regression and acceptance sweep")
     p.add_argument("--quick", action="store_true", help="trim the exhaustive sweep sizes")
     common(p)
-    return parser
+    # subcommand -> {dest: flag}; messages name the flag, which is not always the dest
+    flags = {
+        name: {a.dest: a.option_strings[0] for a in p._actions if a.option_strings}
+        for name, p in sub.choices.items()
+    }
+    return parser, flags
 
 
-def _integer_option(key, value):
+def _integer_option(flag, value):
     """An int, or the text of one; config booleans and floats are refused
     rather than truncated."""
     if isinstance(value, str):
@@ -176,24 +181,26 @@ def _integer_option(key, value):
             pass
     elif type(value) is int:
         return value
-    raise ValueError(f"option --{key.replace('_', '-')} must be an integer, got {value!r}")
+    raise ValueError(f"option {flag} must be an integer, got {value!r}")
 
 
 class _Settings:
     """Resolves each option as: explicit flag, else config file, else default."""
 
-    def __init__(self, args, config: dict):
+    def __init__(self, args, config: dict, flags: dict):
         self.args = args
         self.config = config
+        self.flags = flags
 
     def get(self, key, default=None, required=False, integer=False):
         value = getattr(self.args, key, None)
         if value is None:
             value = self.config.get(key, default)
+        flag = self.flags[key]
         if value is None and required:
-            raise ValueError(f"missing required option --{key.replace('_', '-')}")
+            raise ValueError(f"missing required option {flag}")
         if value is not None and integer:
-            value = _integer_option(key, value)
+            value = _integer_option(flag, value)
         return value
 
     def echo(self, keys):
@@ -339,7 +346,7 @@ def _run_discrete(settings):
 
 def _run_dual(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    chi = character(parse_rational(settings.get("chi", required=True)))
+    chi = character(parse_rational(str(settings.get("chi", required=True))))
     report = Report("dual", settings.echo(["pivots", "chi", "m", "n", "window", "seed"]))
     kernel = kernel_check(chi, pivots)
     try:
@@ -416,7 +423,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -432,7 +439,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"ztop: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    settings = _Settings(args, config)
+    settings = _Settings(args, config, flags[args.command])
     try:
         report, status = _RUNNERS[args.command](settings)
         fmt = settings.get("format", "json")

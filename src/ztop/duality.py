@@ -144,7 +144,9 @@ def continuity_window_check(
 
     Returns the first failing k (by increasing |k|, positive first) as a
     certificate; a passing window is evidence only, since the full
-    neighbourhood is infinite.
+    neighbourhood is infinite. chi is evaluated only on the members
+    ``iter_members`` yields, so the check stops with the first failing
+    member.
     """
     p = chi.value.rep.numerator
     q = chi.value.rep.denominator

@@ -11,18 +11,32 @@ topologies a pivot chain induces on the integers:
 Four routes into the uniform question are provided: the direct scan, the
 equivalent partial-sum criterion on the balanced digits, and one-sided
 digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)).
+
+Window queries do not ask the question one k at a time. Every condition
+|k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
+condition |k x mod 1| <= 1/(4 level) of the discreteness certificate with
+period the denominator of x. ``iter_members`` and ``discreteness_witness``
+hand these conditions to the ``arc_sieve`` kernel, which strikes out the
+failing residues of a window segment by slice assignment. Segments hold
+SIEVE_SEGMENT integers at most, so memory stays bounded whatever the window,
+and a consumer that stops early stops the sieve with it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from ztop._kernels import member_direct_scan, member_partial_scan, wrap_half
+from ztop._kernels import arc_sieve, member_direct_scan, member_partial_scan
 from ztop.decomposition import PivotCoefficients
-from ztop.pivots import PivotSequence
+from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import check_level, check_positive_int
+
+# Most integers one arc_sieve call covers: a 64 KiB mask.
+SIEVE_SEGMENT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,7 +91,7 @@ def member_partial_sums(k: int, pivots: PivotSequence, m: int) -> bool:
     check_level(m)
     if k == 0:
         return True
-    terms = pivots.terms_until(4 * m * (-k if k < 0 else k), extra=1)
+    terms = pivots.terms_until(4 * m * (-k if k < 0 else k))
     return member_partial_scan(k, terms, m)
 
 
@@ -119,7 +133,16 @@ def member(k: int, spec: NeighborhoodSpec) -> bool:
 
 def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
     """Members of the neighbourhood with |k| <= window, by increasing |k|,
-    positive before negative. Deterministic."""
+    positive before negative. Deterministic.
+
+    Uniform members come from ``arc_sieve`` over segments of at most
+    SIEVE_SEGMENT positive integers, with one condition (1, b_n, m) per
+    chain term b_n < 4m * (segment end); -k is a member exactly when k is.
+    Each segment grows the chain only as far as its own end. When a pivot
+    term cannot be built (bit budget, invalid chain), the members the
+    existing terms decide are still yielded, and the error is raised at the
+    first k that needs the missing term, as ``member_direct`` would raise.
+    """
     if window < 0:
         raise ValueError("window must be >= 0")
     if isinstance(spec.family, Linear):
@@ -132,11 +155,23 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
             k += b
         return
     m = spec.family.m
+    pivots = spec.pivots
     yield 0
-    for k in range(1, window + 1):
-        if member_direct(k, spec.pivots, m):
+    lo = 1
+    while lo <= window:
+        hi = min(window, lo + SIEVE_SEGMENT - 1)
+        try:
+            terms = pivots.terms_until(4 * m * hi)
+        except (BitBudgetExceeded, ValueError):
+            terms = pivots.terms_until(1)  # the terms built before the failure
+            hi = terms[-1] // (4 * m)  # the last k those terms decide
+            if hi < lo:
+                raise
+        conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
+        for k in compress(range(lo, hi + 1), arc_sieve(lo, hi, conds)):
             yield k
             yield -k
+        lo = hi + 1
 
 
 # -- constructive discreteness witness --------------------------------------
@@ -174,6 +209,11 @@ def discreteness_witness(
     with 4 * l * x_1 > 1, and the a-priori containment of the level-m
     neighbourhood in [-1/(4 x_1), 1/(4 x_1)] means brute_window of about
     1/(4 x_1) suffices in principle.
+
+    k survives when 4 * level * |k x mod 1| <= 1 for every x in the prefix.
+    The window is sieved by ``arc_sieve`` with one condition (numerator,
+    denominator, level) per x, over segments of at most SIEVE_SEGMENT
+    positive integers; -k survives exactly when k does, and 0 always does.
     """
     xs = [Fraction(x) for x in xs]
     if not xs:
@@ -197,15 +237,14 @@ def discreteness_witness(
     inv = Fraction(1, 4) / x1
     l = inv.numerator // inv.denominator + 1
     level = l * m
-    survivors = []
-    for k in range(-brute_window, brute_window + 1):
-        for x in xs:
-            t = wrap_half(k * x.numerator, x.denominator)
-            ta = -t if t < 0 else t
-            if 4 * level * ta > x.denominator:
-                break
-        else:
-            survivors.append(k)
+    conds = [(x.numerator, x.denominator, level) for x in xs]
+    positive = []
+    lo = 1
+    while lo <= brute_window:
+        hi = min(brute_window, lo + SIEVE_SEGMENT - 1)
+        positive += compress(range(lo, hi + 1), arc_sieve(lo, hi, conds))
+        lo = hi + 1
+    survivors = [-k for k in reversed(positive)] + [0] + positive
     return DiscretenessWitness(
         ratio_bound=m,
         multiplier=l,

@@ -24,7 +24,10 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal literals are not exact: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def rat_str(q: Fraction) -> str:

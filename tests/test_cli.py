@@ -210,3 +210,31 @@ def test_verify_paper_quick(capsys):
         "ALL",
     } <= names
     assert all(r["ok"] for r in rows)
+
+
+def test_missing_option_names_the_flag(capsys):
+    # the flags --l and --x store under other names (l_value, xs)
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "linear")
+    assert (status, out, err) == (2, "", "ztop: missing required option --l\n")
+    status, out, err = run_cli(capsys, "discrete", "--ratio-bound", "2")
+    assert (status, out, err) == (2, "", "ztop: missing required option --x\n")
+
+
+def test_non_integer_config_option_names_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "linear", "l_value": 1.5}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "decompose")
+    assert (status, out, err) == (2, "", "ztop: option --l must be an integer, got 1.5\n")
+
+
+def test_dual_character_from_config(tmp_path, capsys):
+    # "1/0" used to escape as ZeroDivisionError, a JSON number as AttributeError
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "linear", "chi": "1/0"}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "dual")
+    assert (status, out, err) == (2, "", "ztop: zero denominator: '1/0'\n")
+    cfg.write_text(json.dumps({"pivots": "linear", "chi": 0}))
+    status, out, _ = run_cli(capsys, "--config", str(cfg), "dual")
+    assert status == 0
+    _, rows = parse_ndjson(out)
+    assert rows[0]["chi"] == "0/1"

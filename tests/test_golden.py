@@ -1,0 +1,56 @@
+"""CLI output byte for byte against saved runs.
+
+``tests/data/golden/<name>.stdout`` holds what each case below printed
+before the window scans moved to the arc sieve; ``<name>.stderr``, when
+present, holds its error output (absent means none). Any change to a
+verdict, a survivor list, a failing k or a budget refusal shows here.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from ztop.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# name -> (argv, ZTOP_BIT_BUDGET or None, exit status)
+CASES = {
+    "verify-paper-quick-seed0": (["verify-paper", "--quick", "--seed", "0"], None, 0),
+    "verify-paper-quick-seed1": (["verify-paper", "--quick", "--seed", "1"], None, 0),
+    "discrete-halving": (
+        ["discrete", "--x", "1/2,1/4,1/8,1/16,1/32,1/64,1/128,1/256,1/512,1/1024",
+         "--ratio-bound", "2"], None, 0),
+    "discrete-mixed-numerators": (
+        ["discrete", "--x", "2/5,1/7,1/20,1/61", "--ratio-bound", "4", "--window", "3000"], None, 1),
+    "discrete-unverified": (
+        ["discrete", "--x", "1/3,1/9", "--ratio-bound", "3", "--window", "500"], None, 1),
+    "dual-factorial-fails": (
+        ["dual", "--pivots", "factorial", "--chi", "1/7", "--m", "2", "--window", "10000"], None, 0),
+    "dual-square-passes": (
+        ["dual", "--pivots", "square", "--chi", "1/16", "--m", "1", "--window", "5000"], None, 0),
+    # the window reaches past b_5, which the budget refuses: chi fails at
+    # k = 4 first, so the refusal never shows
+    "dual-budget-early-exit": (
+        ["dual", "--pivots", "factorial", "--chi", "1/7", "--m", "2", "--window", "10000000"], "64", 0),
+    # chi passes every member the budget allows, then the scan needs b_5
+    "dual-budget-exceeded": (
+        ["dual", "--pivots", "factorial", "--chi", "1/4", "--m", "2", "--window", "3000000"], "64", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_saved_run(name, monkeypatch):
+    argv, budget, status = CASES[name]
+    if budget is None:
+        monkeypatch.delenv("ZTOP_BIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == status
+    assert out.getvalue().encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    stderr = GOLDEN / f"{name}.stderr"
+    assert err.getvalue().encode() == (stderr.read_bytes() if stderr.exists() else b"")

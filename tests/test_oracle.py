@@ -4,18 +4,36 @@ The oracle decides whether k/b_n lies in the closed arc [-1/(4m), 1/(4m)]
 with ``in_arc(canonicalize(Fraction(k, b_n)), m)``, index by index. It runs
 two indices past the first term >= 4m|k|, so it also checks the cut-off the
 kernels rely on: from there on every k/b_n is inside the arc.
+
+The window scans built on the arc sieve are checked here too: the members
+``iter_members`` yields, the survivors of ``discreteness_witness`` against
+the per-k loop it used to run, and the first failing k of
+``continuity_window_check``. Some checks shrink the sieve's segment so that
+small windows cross many segment borders.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztop._kernels import first_arc_exit
+from ztop import neighborhoods
+from ztop._kernels import arc_sieve, first_arc_exit, wrap_half
 from ztop.convergence import falsify_uniform, make_sequence
-from ztop.neighborhoods import member_direct, member_partial_sums
-from ztop.pivots import MultiplierFunc, make_pivots
+from ztop.duality import character, char_eval, continuity_window_check
+from ztop.neighborhoods import (
+    SIEVE_SEGMENT,
+    NeighborhoodSpec,
+    Uniform,
+    discreteness_witness,
+    iter_members,
+    member_direct,
+    member_partial_sums,
+)
+from ztop.pivots import BitBudgetExceeded, MultiplierFunc, make_pivots
 from ztop.torus import canonicalize, in_arc
 
 CHAINS = {
@@ -79,3 +97,236 @@ def test_routes_match_the_oracle_on_arc_boundaries(text):
 )
 def test_routes_match_the_oracle(k, text, m):
     check_routes(k, CHAINS[text], m)
+
+
+# -- the window scans ----------------------------------------------------------
+
+
+WINDOW_MAX = 3000
+
+
+def oracle_member(k, pivots, m):
+    """Whether no n >= 1 puts k/b_n outside the level-m arc: oracle_exits,
+    stopping at the first exit."""
+    n, past = 1, 0
+    while past < 2:
+        b = pivots.term(n)
+        if not in_arc(canonicalize(Fraction(k, b)), m):
+            return False
+        if b >= 4 * m * abs(k):
+            past += 1
+        n += 1
+    return True
+
+
+@lru_cache(maxsize=None)
+def oracle_table(text, m):
+    """Oracle members with |k| <= WINDOW_MAX in iter_members' order:
+    0, 1, -1, 2, -2, ..."""
+    pivots = CHAINS[text]
+    ks = [j for k in range(1, WINDOW_MAX + 1) for j in (k, -k)]
+    return [0] + [k for k in ks if oracle_member(k, pivots, m)]
+
+
+def oracle_members(text, m, window):
+    assert window <= WINDOW_MAX
+    return [k for k in oracle_table(text, m) if abs(k) <= window]
+
+
+def segment(size):
+    """Run the window scans with segments of ``size`` integers."""
+    return mock.patch.object(neighborhoods, "SIEVE_SEGMENT", size)
+
+
+def edge_windows(text, m, limit=WINDOW_MAX):
+    """Windows on and next to b_n/(4m), for every such edge up to ``limit``."""
+    windows = {0, 1, 2}
+    n = 1
+    while CHAINS[text].term(n) // (4 * m) <= limit:
+        edge = CHAINS[text].term(n) // (4 * m)
+        windows.update(w for w in (edge - 1, edge, edge + 1) if w >= 0)
+        n += 1
+    return sorted(windows)
+
+
+@pytest.mark.parametrize("text", sorted(CHAINS))
+def test_iter_members_matches_the_oracle_on_arc_edges(text):
+    for m in LEVELS:
+        spec = NeighborhoodSpec(CHAINS[text], Uniform(m))
+        for window in edge_windows(text, m):
+            assert list(iter_members(spec, window)) == oracle_members(text, m, window)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(CHAINS)),
+    st.sampled_from(LEVELS),
+    st.integers(min_value=0, max_value=WINDOW_MAX),
+    st.sampled_from([1, 2, 7, 64, SIEVE_SEGMENT]),
+)
+def test_iter_members_matches_the_oracle(text, m, window, size):
+    with segment(size):
+        members = list(iter_members(NeighborhoodSpec(CHAINS[text], Uniform(m)), window))
+    assert members == oracle_members(text, m, window)
+
+
+@pytest.mark.parametrize("text", sorted(CHAINS))
+def test_iter_members_across_a_segment_border(text):
+    # member_direct is checked against the oracle above; the oracle itself
+    # decides the k next to the border
+    pivots = CHAINS[text]
+    m = 1 + len(text) % 8
+    window = SIEVE_SEGMENT + 300
+    members = list(iter_members(NeighborhoodSpec(pivots, Uniform(m)), window))
+    ks = [j for k in range(1, window + 1) for j in (k, -k)]
+    assert members == [0] + [k for k in ks if member_direct(k, pivots, m)]
+    near = [k for k in ks if abs(k) > SIEVE_SEGMENT - 300]
+    assert [k for k in members if abs(k) > SIEVE_SEGMENT - 300] == [
+        k for k in near if oracle_member(k, pivots, m)
+    ]
+
+
+def reference_survivors(xs, level, window):
+    """The per-k loop discreteness_witness ran before the arc sieve."""
+    survivors = []
+    for k in range(-window, window + 1):
+        for x in xs:
+            t = wrap_half(k * x.numerator, x.denominator)
+            ta = -t if t < 0 else t
+            if 4 * level * ta > x.denominator:
+                break
+        else:
+            survivors.append(k)
+    return survivors
+
+
+@st.composite
+def decreasing_prefixes(draw):
+    """(xs, ratio bound): x_1 in (0, 1/2] with any numerator, then ratios in
+    (1, r], so numerators other than 1 and denominators past the window
+    both occur."""
+    r = draw(st.integers(min_value=2, max_value=6))
+    q = draw(st.integers(min_value=2, max_value=60))
+    x = Fraction(draw(st.integers(min_value=1, max_value=q // 2)), q)
+    xs = [x]
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        den = draw(st.integers(min_value=1, max_value=5))
+        x = x * den / draw(st.integers(min_value=den + 1, max_value=r * den))
+        xs.append(x)
+    return xs, r
+
+
+@given(
+    decreasing_prefixes(),
+    st.integers(min_value=1, max_value=WINDOW_MAX),
+    st.sampled_from([1, 5, 64, SIEVE_SEGMENT]),
+)
+def test_discreteness_witness_matches_the_per_k_loop(prefix, window, size):
+    xs, r = prefix
+    with segment(size):
+        w = discreteness_witness(xs, r, window)
+    assert list(w.survivors) == reference_survivors(xs, w.level, window)
+    assert w.verified == (w.survivors == (0,))
+
+
+def test_discreteness_witness_with_many_allowed_residues():
+    # level 2 against denominators of thousands: hundreds of allowed residues
+    # per condition, and denominators beyond the window
+    xs = [Fraction(1, 3), Fraction(1, 5), Fraction(3, 19), Fraction(5, 41), Fraction(7, 97),
+          Fraction(11, 293), Fraction(13, 691), Fraction(17, 1801), Fraction(19, 4001)]
+    w = discreteness_witness(xs, 2, 2500)
+    assert w.level == 2
+    assert list(w.survivors) == reference_survivors(xs, 2, 2500)
+
+
+@given(
+    st.integers(min_value=-200, max_value=200),
+    st.integers(min_value=0, max_value=300),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-50, max_value=50),
+            st.integers(min_value=1, max_value=400),
+            st.integers(min_value=1, max_value=9),
+        ),
+        max_size=6,
+    ),
+)
+def test_arc_sieve_matches_the_circle_oracle(lo, length, conds):
+    # any numerator, including ones with no inverse mod q, and negative k
+    hi = lo + length - 1
+    expected = [
+        all(in_arc(canonicalize(Fraction(k * p, q)), level) for p, q, level in conds)
+        for k in range(lo, hi + 1)
+    ]
+    assert list(arc_sieve(lo, hi, conds)) == [int(e) for e in expected]
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 5])
+def test_arc_sieve_on_arc_edges(level):
+    # q a multiple of 4*level puts k*p/q exactly on the arc's end for some k.
+    # A one-k window leaves the sieve nothing to strike, so it checks the
+    # condition directly; the wide window strikes whole periods or residues.
+    for q in (4 * level, 8 * level, 28 * level, 4 * level + 1, 4 * level + 3):
+        r = q // (4 * level)
+        for p in (1, q + 1, -1, 3, 5, 2, q // 2, 0):
+            edges = [k for k in range(-2 * q, 2 * q + 1) if (k * p) % q in (r, r + 1, q - r, q - r - 1)]
+            for lo, hi in [(k, k) for k in edges] + [(-2 * q, 2 * q)]:
+                expected = [
+                    int(in_arc(canonicalize(Fraction(k * p, q)), level)) for k in range(lo, hi + 1)
+                ]
+                assert list(arc_sieve(lo, hi, [(p, q, level)])) == expected, (p, q, lo, hi)
+
+
+def reference_failing_k(chi, text, m, window):
+    for k in oracle_members(text, m, window):
+        if not in_arc(char_eval(chi, k), 1):
+            return k
+    return None
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(CHAINS)),
+    st.sampled_from(LEVELS),
+    st.integers(min_value=2, max_value=60).flatmap(
+        lambda q: st.tuples(st.integers(min_value=0, max_value=q - 1), st.just(q))
+    ),
+    st.integers(min_value=0, max_value=WINDOW_MAX),
+)
+def test_continuity_window_check_matches_a_per_member_loop(text, m, chi_pq, window):
+    chi = character(Fraction(*chi_pq))
+    check = continuity_window_check(chi, NeighborhoodSpec(CHAINS[text], Uniform(m)), window)
+    failing = reference_failing_k(chi, text, m, window)
+    assert check == (failing is None, failing)
+
+
+@pytest.mark.parametrize("size", [SIEVE_SEGMENT, 1000])
+def test_window_scan_under_the_bit_budget(monkeypatch, size):
+    # factorial chain, budget 64 bits: b_4 = 2^24 is the last term, so the
+    # members up to 2^24 / 8 are decided and the next k needs b_5
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", "64")
+    spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
+    count, last = 0, None
+    with segment(size), pytest.raises(BitBudgetExceeded) as exc:
+        for k in iter_members(spec, 10**7):
+            count, last = count + 1, k
+    assert (count, last) == (327_681, -2_097_152)
+    with pytest.raises(BitBudgetExceeded) as direct:
+        member_direct(2_097_153, make_pivots("factorial"), 2)
+    assert str(exc.value) == str(direct.value) == "term b_5 of 'factorial' needs 121 bits (budget 64)"
+    spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
+    assert continuity_window_check(character("1/7"), spec, 10**7) == (False, 4)
+
+
+def test_continuity_window_check_stops_in_the_first_segment():
+    spans = []
+
+    def recording_sieve(lo, hi, conds):
+        spans.append((lo, hi))
+        return arc_sieve(lo, hi, conds)
+
+    spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
+    with mock.patch.object(neighborhoods, "arc_sieve", recording_sieve):
+        check = continuity_window_check(character("1/7"), spec, 10**7)
+    assert check == (False, 4)
+    assert spans == [(1, SIEVE_SEGMENT)]
