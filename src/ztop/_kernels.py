@@ -3,11 +3,18 @@ digit extraction, neighbourhood membership scans and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
+
+``first_arc_exit`` is the one answer to "where does k/b_n leave the arc?".
+It uses the chain's divisibility: past the one-digit terms it reduces k
+once, modulo the last term it needs, and then walks a residue ladder down
+the chain, each step a division between neighbouring terms.
 """
 
 from bisect import bisect_left
 from itertools import compress
 from math import gcd
+
+_ONE_DIGIT = 1 << 30  # below this a term is one 30-bit CPython digit
 
 
 def nearest_int_div(p, q):
@@ -88,7 +95,15 @@ def first_arc_exit(k, terms, m):
 
     Only indices with b_n < 4m|k| need checking; beyond them |k|/b_n is at
     most 1/(4m) and the canonical representative is k/b_n itself. ``terms``
-    must contain a term >= 4m|k|.
+    must be a divisibility chain (b_n divides b_{n+1}) and must contain a
+    term >= 4m|k|.
+
+    Terms below 2^30 are tested bottom-up with k itself, stopping at the
+    first exit: dividing by a one-digit term is cheap. The larger terms are
+    walked down a residue ladder. Since k mod b_n = (k mod b_{n+1}) mod b_n
+    along the chain, k is reduced once, modulo the last term below 4m|k|,
+    and each step below divides the previous residue by its neighbouring
+    term. The least failing index the ladder passes wins.
     """
     if k == 0:
         return None
@@ -98,14 +113,27 @@ def first_arc_exit(k, terms, m):
         b = terms[n]
         if b >= bound:
             return None
+        if b >= _ONE_DIGIT:
+            break
         t = k % b
         if (t << 1) >= b:
-            t -= b
-        if t < 0:
-            t = -t
+            t = b - t
         if 4 * m * t > b:
             return n
-    raise ValueError("pivot prefix too short for membership scan")
+    else:
+        raise ValueError("pivot prefix too short for membership scan")
+    top = bisect_left(terms, bound, n)
+    least = None
+    r = k
+    for i in range(top - 1, n - 1, -1):
+        b = terms[i]
+        r %= b
+        t = b - r if (r << 1) >= b else r
+        if 4 * m * t > b:
+            least = i
+    if least is None and top == len(terms):
+        raise ValueError("pivot prefix too short for membership scan")
+    return least
 
 
 def member_direct_scan(k, terms, m):

@@ -185,7 +185,12 @@ def _integer_option(flag, value):
 
 
 class _Settings:
-    """Resolves each option as: explicit flag, else config file, else default."""
+    """Resolves each option as: explicit flag, else config file, else default.
+
+    A config file names an option by its long flag with dashes turned into
+    underscores (``l`` for ``--l``); the storage name (``l_value``) is read
+    when the flag's name is absent.
+    """
 
     def __init__(self, args, config: dict, flags: dict):
         self.args = args
@@ -193,10 +198,11 @@ class _Settings:
         self.flags = flags
 
     def get(self, key, default=None, required=False, integer=False):
+        flag = self.flags[key]
         value = getattr(self.args, key, None)
         if value is None:
-            value = self.config.get(key, default)
-        flag = self.flags[key]
+            name = flag.lstrip("-").replace("-", "_")
+            value = self.config[name] if name in self.config else self.config.get(key, default)
         if value is None and required:
             raise ValueError(f"missing required option {flag}")
         if value is not None and integer:

@@ -15,12 +15,21 @@ returns an explicit Verdict over a horizon:
 * ``inconclusive`` -- the scan hit the chain's bit budget before the
   horizon.
 
+Uniform witnesses come from the kernel ``first_arc_exit``, which reduces
+l_j down the chain by a residue ladder, each step a division between
+neighbouring terms.
+
 Block statistics: settle index j_n is the least index from which b_n
 divides every term; block M_n spans [j_n, j_{n+1}) (just {j_n} when the two
 settle indices coincide); the peak S_n is max |l_j| / b_{n+1} over the
-block, kept as an exact rational. S_n -> 0 is a sufficient condition for
-convergence in the uniform topology, and the built-in families reproduce
-the standard counterexamples showing it is not necessary.
+block, kept as an exact rational. Settle indices come from the suffix gcds
+G_j = gcd(l_j, ..., l_horizon): j_n is the least j with b_n | G_j, and since
+b_n | b_{n+1} the j_n never decrease, so one pointer walks G once for all
+levels.
+
+S_n -> 0 is a sufficient condition for convergence in the uniform
+topology, and the built-in families reproduce the standard counterexamples
+showing it is not necessary.
 """
 
 from __future__ import annotations
@@ -257,6 +266,12 @@ def block_statistics(
         raise ValueError("horizon must be >= 1")
     cap = horizon if levels is None else check_positive_int(levels, "levels")
     values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
+    # suffix[s] = gcd(l_{s+1}, ..., l_horizon), and suffix[horizon] = 0: b_n
+    # divides every term from index s + 1 on iff it divides suffix[s]
+    suffix = [0] * (horizon + 1)
+    for i in range(horizon - 1, -1, -1):
+        suffix[i] = math.gcd(values[i], suffix[i + 1])
+    s = 0  # j_n - 1; it never decreases, since b_n divides b_{n+1}
     settle: dict[int, int] = {}
     missing: list[int] = []
     note = ""
@@ -267,15 +282,12 @@ def block_statistics(
         except BitBudgetExceeded as exc:
             note = str(exc)
             break
-        last_bad = 0
-        for j in range(horizon, 0, -1):
-            if values[j - 1] % b != 0:
-                last_bad = j
-                break
-        if last_bad == horizon:
+        while suffix[s] % b:
+            s += 1
+        if s == horizon:
             missing.append(n)
             break
-        settle[n] = last_bad + 1
+        settle[n] = s + 1
         n_top = n
     blocks: dict[int, tuple[int, int]] = {}
     peaks: dict[int, Fraction] = {}

@@ -219,8 +219,7 @@ def discreteness_witness(
     if not xs:
         raise ValueError("need a nonempty sequence prefix")
     m = check_positive_int(ratio_bound, "ratio bound")
-    if brute_window < 1:
-        raise ValueError("brute-force window must be positive")
+    check_positive_int(brute_window, "brute-force window")
     half = Fraction(1, 2)
     for i, x in enumerate(xs):
         if not (0 < x <= half):

@@ -238,3 +238,25 @@ def test_dual_character_from_config(tmp_path, capsys):
     assert status == 0
     _, rows = parse_ndjson(out)
     assert rows[0]["chi"] == "0/1"
+
+
+def test_config_names_the_l_option_as_its_flag(tmp_path, capsys):
+    # the config key is the long option's name; its storage name l_value also works
+    cfg = tmp_path / "run.json"
+    expected = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")
+    assert expected[0] == 0
+    for key in ("l", "l_value"):
+        cfg.write_text(json.dumps({"pivots": "linear", key: 5}))
+        assert run_cli(capsys, "--config", str(cfg), "decompose") == expected
+    cfg.write_text(json.dumps({"pivots": "linear", "l": 1.5}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "decompose")
+    assert (status, out, err) == (2, "", "ztop: option --l must be an integer, got 1.5\n")
+
+
+def test_config_names_the_x_option_as_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    expected = run_cli(capsys, "discrete", "--x", "1/2,1/4", "--ratio-bound", "2", "--window", "50")
+    assert expected[0] == 1
+    for key in ("x", "xs"):
+        cfg.write_text(json.dumps({key: "1/2,1/4", "ratio-bound": 2, "window": 50}))
+        assert run_cli(capsys, "--config", str(cfg), "discrete") == expected

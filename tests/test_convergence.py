@@ -1,8 +1,14 @@
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztop.convergence import (
+    FAMILIES,
+    BlockStatistics,
     IntegerSequence,
     NeighborhoodSpec,
     block_statistics,
@@ -14,7 +20,7 @@ from ztop.convergence import (
 )
 from ztop.neighborhoods import Linear, Uniform, member_direct
 from ztop.pivots import BitBudgetExceeded, make_pivots
-from ztop.torus import canonicalize, in_arc
+from ztop.torus import canonicalize, check_positive_int, in_arc
 
 HALF = canonicalize(Fraction(1, 2))
 
@@ -202,6 +208,130 @@ def test_blocks_missing_levels(factorial):
     stats = block_statistics(make_sequence("pow2"), factorial, horizon=30)
     assert stats.settle[4] == 24  # b_4 = 2^24 divides 2^j from j = 24 on
     assert stats.missing == (5,)  # j_5 = 120 lies beyond the horizon
+
+
+def reference_block_statistics(seq, pivots, horizon, levels=None):
+    """block_statistics before the suffix gcds: each level rescans the values
+    from the horizon down for the last one that b_n does not divide."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    cap = horizon if levels is None else check_positive_int(levels, "levels")
+    values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
+    settle = {}
+    missing = []
+    note = ""
+    n_top = 0
+    for n in range(1, cap + 2):
+        try:
+            b = pivots.term(n)
+        except BitBudgetExceeded as exc:
+            note = str(exc)
+            break
+        last_bad = 0
+        for j in range(horizon, 0, -1):
+            if values[j - 1] % b != 0:
+                last_bad = j
+                break
+        if last_bad == horizon:
+            missing.append(n)
+            break
+        settle[n] = last_bad + 1
+        n_top = n
+    blocks = {}
+    peaks = {}
+    if settle:
+        blocks[0] = (1, settle[1] - 1)
+        for n in range(1, n_top):
+            jn, jn1 = settle[n], settle[n + 1]
+            blocks[n] = (jn, jn) if jn == jn1 else (jn, jn1 - 1)
+        for n, (lo, hi) in blocks.items():
+            if lo > hi:
+                continue
+            try:
+                bn1 = pivots.term(n + 1)
+            except BitBudgetExceeded as exc:
+                note = str(exc)
+                break
+            peak = max(abs(values[j - 1]) for j in range(lo, hi + 1))
+            peaks[n] = Fraction(peak, bn1)
+    return BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
+
+
+def same_blocks(seq, pivots, horizon, levels=None):
+    """block_statistics, checked against the rescan: the same settle indices,
+    blocks, peaks, missing levels and note, or the same refusal."""
+    results = []
+    for fn in (reference_block_statistics, block_statistics):
+        try:
+            results.append(fn(seq, pivots, horizon, levels=levels))
+        except BitBudgetExceeded as exc:
+            results.append(str(exc))
+    assert results[1] == results[0]
+    return results[1]
+
+
+BLOCK_CHAINS = ("linear", "square", "factorial", "chain:2,3", "chain:5,2,3", "poly:1,1")
+LEVEL_CAPS = st.one_of(st.none(), st.integers(min_value=1, max_value=70))
+
+
+@st.composite
+def chain_multiples(draw):
+    """(chain, values): runs of one signed multiple c * b_i each, c = 0 giving
+    runs of zeros."""
+    text = draw(st.sampled_from(BLOCK_CHAINS))
+    pivots = make_pivots(text)
+    top = 7 if text == "factorial" else 12
+    runs = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=4),
+            st.integers(min_value=-5, max_value=5),
+            st.integers(min_value=0, max_value=top),
+        ),
+        min_size=1,
+        max_size=12,
+    ))
+    return text, [c * pivots.term(i) for length, c, i in runs for _ in range(length)]
+
+
+@settings(deadline=None)
+@given(chain_multiples(), LEVEL_CAPS)
+def test_block_statistics_matches_the_rescan_on_chain_multiples(case, levels):
+    text, values = case
+    pivots = make_pivots(text)
+    seq = make_sequence("custom", pivots, fn=lambda j: values[j - 1])
+    same_blocks(seq, pivots, len(values), levels)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(BLOCK_CHAINS),
+    st.integers(min_value=1, max_value=70),
+    LEVEL_CAPS,
+    st.sampled_from([{}, {"ZTOP_BIT_BUDGET": "64"}]),
+)
+def test_block_statistics_matches_the_rescan_on_the_families(family, text, horizon, levels, env):
+    with mock.patch.dict(os.environ, env):
+        pivots = make_pivots(text)
+        same_blocks(make_sequence(family, pivots), pivots, horizon, levels)
+
+
+@pytest.mark.parametrize(
+    "family, text, horizon, settled, refused",
+    [
+        ("zero", "linear", 70, 63, "b_64"),
+        ("pow2", "square", 60, 7, "b_8"),
+        ("zero", "factorial", 10, 4, "b_5"),
+    ],
+)
+def test_block_statistics_under_a_budget_refusal_part_way(
+    monkeypatch, family, text, horizon, settled, refused
+):
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", "64")
+    pivots = make_pivots(text)
+    stats = same_blocks(make_sequence(family, pivots), pivots, horizon)
+    assert len(stats.settle) == settled
+    assert stats.note.startswith(f"term {refused} of {text!r} needs")
 
 
 def test_peak_decay_report(square):

@@ -169,3 +169,6 @@ def test_discreteness_precondition_violations():
     for ratio_bound in (2.9, 2.0, True, 0):
         with pytest.raises(ValueError):
             discreteness_witness(halving, ratio_bound=ratio_bound, brute_window=10)
+    for brute_window in (1 / 2, 2.0, True, 0, -3):
+        with pytest.raises(ValueError, match="brute-force window"):
+            discreteness_witness(halving, ratio_bound=2, brute_window=brute_window)

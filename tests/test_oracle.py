@@ -3,7 +3,8 @@
 The oracle decides whether k/b_n lies in the closed arc [-1/(4m), 1/(4m)]
 with ``in_arc(canonicalize(Fraction(k, b_n)), m)``, index by index. It runs
 two indices past the first term >= 4m|k|, so it also checks the cut-off the
-kernels rely on: from there on every k/b_n is inside the arc.
+kernels rely on: from there on every k/b_n is inside the arc. Values up to
+about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder.
 
 The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, the survivors of ``discreteness_witness`` against
@@ -97,6 +98,79 @@ def test_routes_match_the_oracle_on_arc_boundaries(text):
 )
 def test_routes_match_the_oracle(k, text, m):
     check_routes(k, CHAINS[text], m)
+
+
+# -- the residue ladder ---------------------------------------------------------
+
+# first_arc_exit tests terms below 2^30 one by one and walks the larger terms
+# down a residue ladder. The draws above keep 4m|k| below 2^30 and never reach
+# the ladder; these take |k| up to about 2^300.
+LADDER_FROM = 1 << 30
+K_BITS = 300
+
+
+def last_index_below(pivots, bits):
+    """The last n with b_n of at most ``bits`` bits."""
+    n = 1
+    while pivots.term(n + 1).bit_length() <= bits:
+        n += 1
+    return n
+
+
+@st.composite
+def ladder_values(draw):
+    """(chain, m, k) with k = sum of c_i b_i plus or minus (b_n // (4m) + delta):
+    signed multiples of chain terms and a value next to an arc's end, so exits
+    fall below the ladder, inside it, at several of its rungs, or nowhere."""
+    text = draw(st.sampled_from(sorted(CHAINS)))
+    pivots = CHAINS[text]
+    m = draw(st.sampled_from(LEVELS))
+    index = st.integers(min_value=1, max_value=last_index_below(pivots, K_BITS))
+    k = sum(
+        draw(st.integers(min_value=-3, max_value=3)) * pivots.term(draw(index))
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    )
+    edge = pivots.term(draw(index)) // (4 * m) + draw(st.integers(min_value=-2, max_value=2))
+    return text, m, k + draw(st.sampled_from((1, -1))) * edge
+
+
+@settings(deadline=None)
+@given(ladder_values())
+def test_routes_match_the_oracle_on_the_ladder(case):
+    text, m, k = case
+    check_routes(k, CHAINS[text], m)
+
+
+SQ, FAC = CHAINS["square"], CHAINS["factorial"]
+C23, FUNC = CHAINS["chain:2,3"], CHAINS["func:2+step%3"]
+LADDER_CASES = {
+    # first exit below 2^30, and a later one on the ladder (b_8 = 2^64)
+    "below": ("square", 3, 5 + SQ.term(8) // 2, [1, 2, 8]),
+    "below-negative": ("square", 3, -5 - SQ.term(8) // 2, [1, 2, 8]),
+    # first exit on the ladder's only rung (b_5 = 2^120)
+    "one-rung": ("factorial", 2, FAC.term(5) // 8 + 7 * FAC.term(4), [5]),
+    # several rungs fail; the least wins
+    "rungs-linear": ("linear", 1, 3 * 2**40 + 2**100, [41, 43, 101, 102]),
+    "rungs-chain": ("chain:2,3", 1, C23.term(60) // 4 + C23.term(30), [31, 57, 58, 60]),
+    "rungs-chain-long": (
+        "chain:2,3", 1, C23.term(200) // 2 + C23.term(100) // 2 + C23.term(50),
+        [51, 99, 100, 101, 199, 200, 201],
+    ),
+    "rungs-func": ("func:2+step%3", 2, FUNC.term(150) // 8 - 5 * FUNC.term(40), [41, 42, 43, 149]),
+    # no exit anywhere
+    "none-sum": ("square", 1, SQ.term(8) + SQ.term(10) + SQ.term(12), []),
+    "none-edge": ("square", 2, SQ.term(12) // 8, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_routes_match_the_oracle_at_chosen_rungs(name):
+    text, m, k, exits = LADDER_CASES[name]
+    pivots = CHAINS[text]
+    bound = 4 * m * abs(k)
+    assert any(LADDER_FROM <= b < bound for b in pivots.terms_until(bound))
+    assert oracle_exits(k, pivots, m) == exits
+    check_routes(k, pivots, m)
 
 
 # -- the window scans ----------------------------------------------------------
