@@ -2,8 +2,8 @@
 claims, shared between the test suite and the CLI ``verify-paper`` command.
 
 Every check is exact (zero tolerance); each function returns
-(ok, detail_string). Sweep sizes default to the full required ranges and
-can be trimmed for quick runs.
+(ok, detail_string). Defaults are the full required sizes; the trimmed
+sizes of ``verify-paper --quick`` live in ``ztop.regressions.PAPER_CHECKS``.
 """
 
 from __future__ import annotations
@@ -104,6 +104,13 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
     if first_chain is not None:
         detail += f"; first implication: {first_chain}"
     return eq_bad == 0, chain_bad == 0, strict, detail
+
+
+def membership_routes(limit: int = 10**4):
+    """``membership_sweep`` as one check: (ok, detail), ok when all three of
+    its verdicts hold."""
+    eq_ok, chain_ok, strict_ok, detail = membership_sweep(limit=limit)
+    return eq_ok and chain_ok and strict_ok, detail
 
 
 def two_adic_separation(horizon: int = 50, n_max: int = 20):

@@ -4,10 +4,12 @@ Subcommands: decompose, member, converge, blocks, discrete, dual,
 verify-paper. Reports are newline-delimited JSON records by default (a
 header record with the command, config echo, and library version, then one
 record per result); the tabular ``blocks`` subcommand can emit CSV instead.
-Output is deterministic byte-for-byte for a fixed config.
+Output is deterministic byte-for-byte for a fixed config. verify-paper
+prints one record per row of ``ztop.regressions.PAPER_CHECKS``, then ALL.
 
 Exit codes: 0 success / claims verified; 1 falsification or invariant
-violation found (the report says what); 2 usage or config errors.
+violation found (the report says what); 2 usage or config errors, running
+out of memory, or an internal error.
 
 A JSON config file (--config) may supply any long option (dashes become
 underscores); explicit command-line flags win. The ZTOP_BIT_BUDGET
@@ -21,7 +23,7 @@ import io
 import json
 import sys
 
-from ztop import __version__, acceptance, regressions
+from ztop import __version__, regressions
 from ztop.convergence import (
     FAMILIES,
     block_statistics,
@@ -209,8 +211,10 @@ class _Settings:
             value = _integer_option(flag, value)
         return value
 
-    def echo(self, keys):
-        return {k: self.get(k) for k in keys if self.get(k) is not None}
+    def echo(self):
+        """The header's config: every option set, bar those shaping the output."""
+        values = {k: self.get(k) for k in self.flags if k not in ("help", "format", "output")}
+        return {k: v for k, v in values.items() if v is not None}
 
 
 def _spec_from(settings, pivots):
@@ -224,7 +228,7 @@ def _spec_from(settings, pivots):
 def _run_decompose(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     l = settings.get("l_value", required=True, integer=True)
-    report = Report("decompose", settings.echo(["pivots", "l_value", "seed"]))
+    report = Report("decompose", settings.echo())
     coeffs = decompose(l, pivots)
     check = recompose_and_check(coeffs)
     report.add(
@@ -245,7 +249,7 @@ def _run_member(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     m = settings.get("m", required=True, integer=True)
     k = settings.get("k", required=True, integer=True)
-    report = Report("member", settings.echo(["pivots", "m", "k", "seed"]))
+    report = Report("member", settings.echo())
     coeffs = decompose(k, pivots)
     direct = member_direct(k, pivots, m)
     partial = member_partial_sums(k, pivots, m)
@@ -270,7 +274,7 @@ def _run_converge(settings):
     seq = make_sequence(settings.get("sequence", required=True), pivots)
     spec = _spec_from(settings, pivots)
     horizon = settings.get("horizon", required=True, integer=True)
-    report = Report("converge", settings.echo(["pivots", "sequence", "m", "n", "horizon", "seed"]))
+    report = Report("converge", settings.echo())
     verdict = prefix_test(seq, spec, horizon)
     report.add(
         sequence=seq.family,
@@ -292,13 +296,11 @@ def _run_blocks(settings):
     horizon = settings.get("horizon", required=True, integer=True)
     levels = settings.get("levels", integer=True)
     thresholds_text = settings.get("thresholds")
-    report = Report(
-        "blocks",
-        settings.echo(["pivots", "sequence", "horizon", "levels", "thresholds", "seed"]),
-    )
+    report = Report("blocks", settings.echo())
     status = EXIT_OK
     if thresholds_text:
-        thresholds = tuple(int(t) for t in str(thresholds_text).split(","))
+        flag = settings.flags["thresholds"]
+        thresholds = tuple(_integer_option(flag, t) for t in str(thresholds_text).split(","))
         decay = peak_decay_report(seq, pivots, horizon, thresholds, levels=levels)
         stats = decay.stats
     else:
@@ -337,7 +339,7 @@ def _run_discrete(settings):
     xs = [parse_rational(x) for x in str(xs_text).split(",")]
     ratio_bound = settings.get("ratio_bound", required=True, integer=True)
     window = settings.get("window", 100, integer=True)
-    report = Report("discrete", settings.echo(["xs", "ratio_bound", "window", "seed"]))
+    report = Report("discrete", settings.echo())
     witness = discreteness_witness(xs, ratio_bound, window)
     report.add(
         ratio_bound=witness.ratio_bound,
@@ -353,7 +355,7 @@ def _run_discrete(settings):
 def _run_dual(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     chi = character(parse_rational(str(settings.get("chi", required=True))))
-    report = Report("dual", settings.echo(["pivots", "chi", "m", "n", "window", "seed"]))
+    report = Report("dual", settings.echo())
     kernel = kernel_check(chi, pivots)
     try:
         generated = generated_member(chi.value, pivots)
@@ -384,16 +386,8 @@ def _run_dual(settings):
     return report, status
 
 
-ACCEPTANCE_SWEEPS = [
-    ("decomposition-soundness", acceptance.decomposition_soundness, {"limit": 10**5}, {"limit": 2000}),
-    ("membership-routes", None, {"limit": 10**4}, {"limit": 500}),
-    ("two-adic-separation", acceptance.two_adic_separation, {}, {}),
-    ("linear-separation", acceptance.linear_separation, {}, {}),
-    ("discreteness", acceptance.discreteness, {}, {}),
-    ("convergent-membership", acceptance.convergent_membership, {}, {}),
-    ("block-closed-forms", acceptance.block_closed_forms, {}, {}),
-    ("duality-shadow", acceptance.duality_shadow, {"q_max": 10**3}, {"q_max": 200}),
-]
+# The check table under its older name, which the benchmark's tracer reads.
+ACCEPTANCE_SWEEPS = regressions.PAPER_CHECKS
 
 
 def _run_verify(settings):
@@ -401,16 +395,7 @@ def _run_verify(settings):
     seed = settings.get("seed", 0, integer=True)
     report = Report("verify-paper", {"quick": quick, "seed": seed})
     all_ok = True
-    for name, ok, detail in regressions.run_paper_checks(seed=seed):
-        report.add(check=name, ok=ok, detail=detail)
-        all_ok = all_ok and ok
-    for name, fn, full_kw, quick_kw in ACCEPTANCE_SWEEPS:
-        kw = quick_kw if quick else full_kw
-        if name == "membership-routes":
-            eq_ok, chain_ok, strict_ok, detail = acceptance.membership_sweep(**kw)
-            ok = eq_ok and chain_ok and strict_ok
-        else:
-            ok, detail = fn(**kw)
+    for name, ok, detail in regressions.run_paper_checks(seed=seed, quick=quick):
         report.add(check=name, ok=ok, detail=detail)
         all_ok = all_ok and ok
     report.add(check="ALL", ok=all_ok, detail="every regression and sweep")
@@ -458,6 +443,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, TypeError) as exc:
         print(f"ztop: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("ztop: out of memory; try a smaller --horizon or --window", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # exit 1 is kept for verdicts
+        print(f"ztop: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

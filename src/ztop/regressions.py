@@ -1,6 +1,7 @@
-"""Named one-shot regressions: the concrete worked examples the library must
-reproduce exactly. Run via ``ztop verify-paper`` together with the
-acceptance sweeps; each check returns (ok, detail)."""
+"""What ``ztop verify-paper`` runs: the table ``PAPER_CHECKS``, one row per
+output record, and its one runner ``run_paper_checks``. The rows are the
+worked examples the library must reproduce exactly, the seeded spot checks
+and the acceptance sweeps; each check returns (ok, detail)."""
 
 from __future__ import annotations
 
@@ -34,26 +35,6 @@ def check_uniform_membership_128():
     return ok, f"digits {coeffs.coeffs}, member with sufficient test failing"
 
 
-def check_doubling_witnesses():
-    return acceptance.two_adic_separation()
-
-
-def check_half_ratio_separation():
-    return acceptance.linear_separation()
-
-
-def check_geometric_difference_membership():
-    return acceptance.convergent_membership()
-
-
-def check_block_example_falsification():
-    return acceptance.block_closed_forms()
-
-
-def check_halving_discreteness():
-    return acceptance.discreteness()
-
-
 def check_spot_equivalence(seed: int = 0, samples: int = 200):
     """Seeded random spot checks: the direct and partial-sum membership
     routes agree, and digit round-trips hold, outside the exhaustive sweep
@@ -73,21 +54,37 @@ def check_spot_equivalence(seed: int = 0, samples: int = 200):
     return True, f"{samples} seeded spot checks (seed {seed})"
 
 
+# (name, check, quick sizes): a check's defaults are its full sizes
 PAPER_CHECKS = [
-    ("uniform-membership-128", check_uniform_membership_128),
-    ("doubling-sequence-witnesses", check_doubling_witnesses),
-    ("half-ratio-separation", check_half_ratio_separation),
-    ("geometric-difference-membership", check_geometric_difference_membership),
-    ("block-example-falsification", check_block_example_falsification),
-    ("halving-discreteness", check_halving_discreteness),
+    ("uniform-membership-128", check_uniform_membership_128, {}),
+    ("doubling-sequence-witnesses", acceptance.two_adic_separation, {}),
+    ("half-ratio-separation", acceptance.linear_separation, {}),
+    ("geometric-difference-membership", acceptance.convergent_membership, {}),
+    ("block-example-falsification", acceptance.block_closed_forms, {}),
+    ("halving-discreteness", acceptance.discreteness, {}),
+    ("seeded-spot-checks", check_spot_equivalence, {}),
+    ("decomposition-soundness", acceptance.decomposition_soundness, {"limit": 2000}),
+    ("membership-routes", acceptance.membership_routes, {"limit": 500}),
+    ("two-adic-separation", acceptance.two_adic_separation, {}),
+    ("linear-separation", acceptance.linear_separation, {}),
+    ("discreteness", acceptance.discreteness, {}),
+    ("convergent-membership", acceptance.convergent_membership, {}),
+    ("block-closed-forms", acceptance.block_closed_forms, {}),
+    ("duality-shadow", acceptance.duality_shadow, {"q_max": 200}),
 ]
 
 
-def run_paper_checks(seed: int = 0):
-    """All named regressions plus the seeded spot checks; yields
-    (name, ok, detail) triples in a fixed order."""
-    for name, fn in PAPER_CHECKS:
-        ok, detail = fn()
+def run_paper_checks(seed: int = 0, quick: bool = False):
+    """Yields (name, ok, detail) for each row of ``PAPER_CHECKS`` in order,
+    at full sizes or, with ``quick``, at the row's quick sizes. A check
+    listed under two names runs once; the spot checks take ``seed``."""
+    results = {}
+    for name, fn, quick_kwargs in PAPER_CHECKS:
+        kwargs = dict(quick_kwargs) if quick else {}
+        if fn is check_spot_equivalence:
+            kwargs["seed"] = seed
+        key = (fn, tuple(sorted(kwargs.items())))
+        if key not in results:
+            results[key] = fn(**kwargs)
+        ok, detail = results[key]
         yield name, ok, detail
-    ok, detail = check_spot_equivalence(seed=seed)
-    yield "seeded-spot-checks", ok, detail

@@ -81,9 +81,7 @@ def check_positive_int(value, what: str) -> int:
 
 
 def check_level(m: int) -> int:
-    if type(m) is not int or m < 1:
-        raise ValueError(f"arc level must be a positive integer, got {m!r}")
-    return m
+    return check_positive_int(m, "arc level")
 
 
 def in_arc(x: TorusPoint, m: int) -> bool:

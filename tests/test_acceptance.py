@@ -1,8 +1,9 @@
 """Acceptance suite: the nine exit criteria, each exact (zero tolerance).
 
-Every test prints one PASS/FAIL line (run with ``pytest -s`` to see them on
-success). The heavyweight membership sweep is computed once and shared by
-criteria 2 and 3.
+Every check runs at its full sizes, which are the acceptance functions'
+defaults. Every test prints one PASS/FAIL line (run with ``pytest -s`` to
+see them on success). The heavyweight membership sweep is computed once and
+shared by criteria 2 and 3.
 """
 
 import pytest
@@ -16,11 +17,11 @@ def report(number, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def membership_sweep():
-    return acceptance.membership_sweep(limit=10**4, ms=(1, 2, 4, 8))
+    return acceptance.membership_sweep()
 
 
 def test_criterion_1_decomposition_soundness():
-    ok, detail = acceptance.decomposition_soundness(limit=10**5)
+    ok, detail = acceptance.decomposition_soundness()
     report(1, "decomposition soundness", ok, detail)
     assert ok
 
@@ -39,36 +40,36 @@ def test_criterion_3_implication_chain_with_strictness(membership_sweep):
 
 
 def test_criterion_4_two_adic_separation():
-    ok, detail = acceptance.two_adic_separation(horizon=50, n_max=20)
+    ok, detail = acceptance.two_adic_separation()
     report(4, "doubling-sequence separation", ok, detail)
     assert ok
 
 
 def test_criterion_5_linear_separation():
-    ok, detail = acceptance.linear_separation(horizon=30)
+    ok, detail = acceptance.linear_separation()
     report(5, "half-ratio separation", ok, detail)
     assert ok
 
 
 def test_criterion_6_discreteness_witness():
-    ok, detail = acceptance.discreteness(window=100)
+    ok, detail = acceptance.discreteness()
     report(6, "discreteness witness", ok, detail)
     assert ok
 
 
 def test_criterion_7_convergent_membership():
-    ok, detail = acceptance.convergent_membership(m_max=6, span=20)
+    ok, detail = acceptance.convergent_membership()
     report(7, "convergent-example membership", ok, detail)
     assert ok
 
 
 def test_criterion_8_block_closed_forms():
-    ok, detail = acceptance.block_closed_forms(n_max=10)
+    ok, detail = acceptance.block_closed_forms()
     report(8, "block statistics closed forms", ok, detail)
     assert ok
 
 
 def test_criterion_9_duality_shadow():
-    ok, detail = acceptance.duality_shadow(q_max=10**3)
+    ok, detail = acceptance.duality_shadow()
     report(9, "duality shadow", ok, detail)
     assert ok

@@ -1,7 +1,14 @@
+import collections
+import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ztop import acceptance, cli, regressions
 from ztop.cli import main
 
 
@@ -260,3 +267,83 @@ def test_config_names_the_x_option_as_its_flag(tmp_path, capsys):
     for key in ("x", "xs"):
         cfg.write_text(json.dumps({key: "1/2,1/4", "ratio-bound": 2, "window": 50}))
         assert run_cli(capsys, "--config", str(cfg), "discrete") == expected
+
+
+def test_header_echoes_every_option_that_is_set(capsys):
+    status, out, _ = run_cli(
+        capsys,
+        "blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
+        "--levels", "3", "--thresholds", "1,2", "--seed", "5", "--format", "json",
+    )
+    assert status == 0
+    header, _ = parse_ndjson(out)
+    assert header["config"] == {
+        "pivots": "square", "sequence": "pivotsucc", "horizon": 20,
+        "levels": 3, "thresholds": "1,2", "seed": 5,
+    }
+
+
+@pytest.mark.parametrize("text, bad", [("1,x", "x"), ("1,,2", "")])
+def test_thresholds_errors_name_the_flag(capsys, text, bad):
+    status, out, err = run_cli(
+        capsys, "blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "5",
+        "--thresholds", text,
+    )
+    assert (status, out, err) == (2, "", f"ztop: option --thresholds must be an integer, got {bad!r}\n")
+
+
+def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
+    def broken(settings):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._RUNNERS, "decompose", broken)
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")
+    assert (status, out, err) == (2, "", "ztop: internal error: RuntimeError: boom\n")
+
+
+def test_out_of_memory_exits_2_without_traceback():
+    resource = pytest.importorskip("resource")
+    limit = 100 * 2**20  # address space of the child alone
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ztop.cli", "blocks", "--pivots", "linear", "--sequence", "zero",
+         "--horizon", "100000000"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "--horizon" in proc.stderr
+
+
+def test_verify_paper_runs_each_check_once(capsys, monkeypatch):
+    # counting wrappers go where the checks are looked up: the rows of the
+    # check table (one wrapper per function, so both names of a check share
+    # it) and the acceptance module's own names
+    calls = collections.Counter()
+    wrappers = {}
+
+    def counted(fn):
+        if fn not in wrappers:
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            wrappers[fn] = wrapper
+        return wrappers[fn]
+
+    table = [(entry[0], counted(entry[1])) + tuple(entry[2:]) for entry in regressions.PAPER_CHECKS]
+    monkeypatch.setattr(regressions, "PAPER_CHECKS", table)
+    for name, fn in list(vars(acceptance).items()):
+        if inspect.isfunction(fn) and fn.__module__ == acceptance.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(acceptance, name, counted(fn))
+    status, out, _ = run_cli(capsys, "verify-paper", "--quick")
+    assert status == 0
+    _, rows = parse_ndjson(out)
+    assert [r["check"] for r in rows] == [entry[0] for entry in table] + ["ALL"]
+    assert len(calls) == 11  # 10 distinct checks in 15 rows, and the sweep behind membership-routes
+    assert set(calls.values()) == {1}, calls
