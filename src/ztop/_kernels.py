@@ -1,5 +1,6 @@
 """Integer kernels for the hot paths: rounding, circle wrapping, balanced
-digit extraction, neighbourhood membership scans and the window sieve.
+digit extraction, the largest digit ratio, neighbourhood membership scans
+and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
@@ -89,6 +90,24 @@ def coefficient_checks(digits, terms):
     return value, digit_ok, partial_ok
 
 
+def max_digit_ratio(digits, terms):
+    """The largest |k_n| b_n / b_{n+1} over ``digits``, as an exact pair
+    (num, den) with den >= 1; (0, 1) when every digit is 0 or there is none.
+
+    One pair answers both one-sided digit tests at every level m: all ratios
+    are at most c/(8m) iff 8m * num <= c * den. ``terms`` must hold at least
+    len(digits)+1 chain terms.
+    """
+    num, den = 0, 1
+    for n, k in enumerate(digits):
+        if k:
+            a = (-k if k < 0 else k) * terms[n]
+            b = terms[n + 1]
+            if a * den > num * b:
+                num, den = a, b
+    return num, den
+
+
 def first_arc_exit(k, terms, m):
     """The least n >= 1 with k/b_n outside the closed arc [-1/(4m), 1/(4m)],
     or None when there is none.
@@ -141,18 +160,21 @@ def member_direct_scan(k, terms, m):
     return first_arc_exit(k, terms, m) is None
 
 
-def member_partial_scan(k, terms, m):
+def member_partial_scan(k, terms, m, digits=None):
     """Membership via the partial-sum criterion on the balanced digits of k.
 
     k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1; the
     scan stops at the first b_n >= 4m|k|. From there on every digit rounds
     to 0, so the partial sum already equals k and later indices pass.
-    ``terms`` must contain a term >= 4m|k|.
+    ``terms`` must contain a term >= 4m|k|. ``digits``, when given, must be
+    ``decompose_digits`` of k over ``terms``; a caller asking at several
+    levels computes them once.
     """
     if k == 0:
         return True
     ak = -k if k < 0 else k
-    digits = decompose_digits(k, terms, bisect_left(terms, ak))
+    if digits is None:
+        digits = decompose_digits(k, terms, bisect_left(terms, ak))
     nd = len(digits)
     bound = 4 * m * ak
     partial = 0

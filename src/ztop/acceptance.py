@@ -4,6 +4,15 @@ claims, shared between the test suite and the CLI ``verify-paper`` command.
 Every check is exact (zero tolerance); each function returns
 (ok, detail_string). Defaults are the full required sizes; the trimmed
 sizes of ``verify-paper --quick`` live in ``ztop.regressions.PAPER_CHECKS``.
+
+The exhaustive sweeps of criteria 1-3 run the kernels directly, through
+``decomposition.round_trip_failures`` and ``neighborhoods.route_violations``:
+each chain prefix is fetched once and each integer decomposed once, and
+every integer of the range is still checked. Those sweeps return the
+integers that fail; the first one is checked again through the public
+wrappers, so a failure reads as it would from ``decompose``,
+``recompose_and_check``, ``member_direct``, ``member_partial_sums`` and
+``coeff_bound_test``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from ztop.convergence import (
     make_sequence,
     prefix_test,
 )
-from ztop.decomposition import decompose, recompose_and_check
+from ztop.decomposition import decompose, recompose_and_check, round_trip_failures
 from ztop.duality import CERT_DIVISOR, character, kernel_check
 from ztop.neighborhoods import (
     Linear,
@@ -28,6 +37,7 @@ from ztop.neighborhoods import (
     member_direct,
     member_linear,
     member_partial_sums,
+    route_violations,
 )
 from ztop.pivots import MultiplierChain, TwoPowerExponent, make_pivots
 from ztop.torus import canonicalize
@@ -50,12 +60,10 @@ def decomposition_soundness(limit: int = 10**5):
     bad = 0
     first = None
     for name, pivots in _families().items():
-        for l in range(-limit, limit + 1):
-            check = recompose_and_check(decompose(l, pivots))
-            if not check.ok:
-                bad += 1
-                if first is None:
-                    first = (name, l, check)
+        failures = round_trip_failures(pivots, limit)
+        bad += len(failures)
+        if failures and first is None:
+            first = (name, failures[0], recompose_and_check(decompose(failures[0], pivots)))
     detail = f"swept |l| <= {limit} over 4 chains, {bad} violations"
     if first is not None:
         detail += f"; first: {first}"
@@ -75,21 +83,21 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
     eq_bad = chain_bad = 0
     first_eq = first_chain = None
     for name, pivots in pivots_by_name.items():
-        for k in range(-limit, limit + 1):
+        equivalence, implication = route_violations(pivots, limit, ms)
+        eq_bad += len(equivalence)
+        chain_bad += len(implication)
+        if equivalence and first_eq is None:
+            k, m = equivalence[0]
+            first_eq = (name, k, m, member_direct(k, pivots, m), member_partial_sums(k, pivots, m))
+        if implication and first_chain is None:
+            k, m = implication[0]
             coeffs = decompose(k, pivots)
-            for m in ms:
-                direct = member_direct(k, pivots, m)
-                partial = member_partial_sums(k, pivots, m)
-                if direct != partial:
-                    eq_bad += 1
-                    if first_eq is None:
-                        first_eq = (name, k, m, direct, partial)
-                suff = coeff_bound_test(coeffs, m, "sufficient")
-                nec = coeff_bound_test(coeffs, m, "necessary")
-                if (suff and not direct) or (direct and not nec):
-                    chain_bad += 1
-                    if first_chain is None:
-                        first_chain = (name, k, m, suff, direct, nec)
+            first_chain = (
+                name, k, m,
+                coeff_bound_test(coeffs, m, "sufficient"),
+                member_direct(k, pivots, m),
+                coeff_bound_test(coeffs, m, "necessary"),
+            )
     square = pivots_by_name["square"]
     strict = member_direct(128, square, 1) and not coeff_bound_test(
         decompose(128, square), 1, "sufficient"

@@ -100,9 +100,14 @@ def _csv_cell(value):
 
 
 def _write(text: str, output: str | None):
+    if output is not None and not isinstance(output, str):  # open() takes an int as a descriptor
+        raise ValueError(f"option --output must be a path, got {output!r}")
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

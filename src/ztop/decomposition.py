@@ -9,6 +9,10 @@ the top index N (minimal with b_N >= |l|) downwards.
 All integers are accepted, not just naturals: the digit recursion is odd,
 so decompose(-l) yields the negated digits of l. decompose(0) returns the
 empty digit list and recomposes to 0.
+
+``round_trip_failures`` is the exhaustive sweep of criterion 1: it runs the
+kernels behind ``decompose`` and ``recompose_and_check`` over a whole range
+of l with one fetch of the chain prefix.
 """
 
 from __future__ import annotations
@@ -95,3 +99,26 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
     terms = coeffs.pivots.terms_until(1, extra=len(digits))
     value, digit_ok, partial_ok = coefficient_checks(digits, terms)
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)
+
+
+def round_trip_failures(pivots: PivotSequence, limit: int) -> list[int]:
+    """Every l with |l| <= limit whose balanced digits fail to recompose to l
+    or break a balance bound, in increasing order.
+
+    The sweep form of ``recompose_and_check(decompose(l, pivots))``: the
+    chain prefix is fetched once and every l != 0 goes through the same
+    ``decompose_digits`` and ``coefficient_checks`` kernels; l = 0 goes
+    through the wrappers themselves.
+    """
+    terms = pivots.terms_until(limit, extra=1)
+    failures = []
+    for l in range(-limit, limit + 1):
+        if l == 0:
+            if not recompose_and_check(decompose(0, pivots)).ok:
+                failures.append(0)
+            continue
+        digits = decompose_digits(l, terms, bisect_left(terms, -l if l < 0 else l))
+        value, digit_ok, partial_ok = coefficient_checks(digits, terms)
+        if value != l or not (digit_ok and partial_ok):
+            failures.append(l)
+    return failures

@@ -10,7 +10,11 @@ topologies a pivot chain induces on the integers:
 
 Four routes into the uniform question are provided: the direct scan, the
 equivalent partial-sum criterion on the balanced digits, and one-sided
-digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)).
+digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). Both digit
+tests read one exact pair from the ``max_digit_ratio`` kernel, the largest
+|k_n| b_n / b_{n+1}. ``route_violations`` runs all four routes over a range
+of k and a set of levels on the kernels directly: it fetches the chain
+prefix once, decomposes each k once and compares the routes at every level.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -30,8 +34,14 @@ from fractions import Fraction
 from itertools import compress
 from typing import Iterator, NamedTuple, Sequence, Union
 
-from ztop._kernels import arc_sieve, member_direct_scan, member_partial_scan
-from ztop.decomposition import PivotCoefficients
+from ztop._kernels import (
+    arc_sieve,
+    decompose_digits,
+    max_digit_ratio,
+    member_direct_scan,
+    member_partial_scan,
+)
+from ztop.decomposition import PivotCoefficients, decompose
 from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import check_level, check_positive_int
 
@@ -108,14 +118,47 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
         raise ValueError(f"mode must be 'sufficient' or 'necessary', got {mode!r}")
     factor = 1 if mode == "sufficient" else 3
     digits = coeffs.coeffs
-    if not digits:
-        return True
-    terms = coeffs.pivots.terms_until(1, extra=len(digits))
-    for n, k in enumerate(digits):
-        ak = -k if k < 0 else k
-        if 8 * m * ak * terms[n] > factor * terms[n + 1]:
-            return False
-    return True
+    num, den = max_digit_ratio(digits, coeffs.pivots.terms_until(1, extra=len(digits)))
+    return 8 * m * num <= factor * den
+
+
+def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
+    """All four membership routes for every |k| <= limit at every level in
+    ``ms``; returns (equivalence, implication), the (k, m) pairs in sweep
+    order where ``member_direct`` and ``member_partial_sums`` disagree, and
+    where "sufficient implies member implies necessary" fails.
+
+    The sweep form of the public routes: the chain prefix is fetched once,
+    each k != 0 is decomposed once, and the routes run on the kernels the
+    public functions use, the digit tests on one ``max_digit_ratio`` pair
+    per k. k = 0 goes through the public functions themselves.
+    """
+    for m in ms:
+        check_level(m)
+    terms = pivots.terms_until(4 * max(ms, default=1) * limit, extra=1)
+    equivalence, implication = [], []
+    for k in range(-limit, limit + 1):
+        if k == 0:
+            zero = decompose(0, pivots)
+            routes = [
+                (m, member_direct(0, pivots, m), member_partial_sums(0, pivots, m),
+                 coeff_bound_test(zero, m, "sufficient"), coeff_bound_test(zero, m, "necessary"))
+                for m in ms
+            ]
+        else:
+            digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
+            num, den = max_digit_ratio(digits, terms)
+            routes = [
+                (m, member_direct_scan(k, terms, m), member_partial_scan(k, terms, m, digits),
+                 8 * m * num <= den, 8 * m * num <= 3 * den)
+                for m in ms
+            ]
+        for m, direct, partial, sufficient, necessary in routes:
+            if direct != partial:
+                equivalence.append((k, m))
+            if (sufficient and not direct) or (direct and not necessary):
+                implication.append((k, m))
+    return equivalence, implication
 
 
 def member_linear(k: int, pivots: PivotSequence, n: int) -> bool:

@@ -186,6 +186,23 @@ def test_output_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5", "--output", str(path))
+    assert (status, out) == (2, "")
+    assert err.startswith(f"ztop: cannot write --output {path}: ")
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("output", [True, 1])
+def test_non_path_output_in_config_is_refused(tmp_path, capsys, output):
+    # open() takes an integer as a file descriptor: 1 would close stdout
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": output}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "decompose", "--pivots", "linear", "--l", "5")
+    assert (status, out, err) == (2, "", f"ztop: option --output must be a path, got {output!r}\n")
+
+
 def test_bad_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--pivots", "square", "--sequence", "nonsense", "--m", "1", "--horizon", "5"])

@@ -6,6 +6,11 @@ two indices past the first term >= 4m|k|, so it also checks the cut-off the
 kernels rely on: from there on every k/b_n is inside the arc. Values up to
 about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder.
 
+The one-sided digit tests are checked against their Fraction definition,
+max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
+hand-built digit lists and at the exact bounds. The partial-sum kernel is
+checked to give the same answer with and without precomputed digits.
+
 The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, the survivors of ``discreteness_witness`` against
 the per-k loop it used to run, and the first failing k of
@@ -13,6 +18,7 @@ the per-k loop it used to run, and the first failing k of
 small windows cross many segment borders.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -22,13 +28,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztop import neighborhoods
-from ztop._kernels import arc_sieve, first_arc_exit, wrap_half
+from ztop._kernels import (
+    arc_sieve,
+    decompose_digits,
+    first_arc_exit,
+    max_digit_ratio,
+    member_partial_scan,
+    wrap_half,
+)
 from ztop.convergence import falsify_uniform, make_sequence
+from ztop.decomposition import coefficients_from_digits
 from ztop.duality import character, char_eval, continuity_window_check
 from ztop.neighborhoods import (
     SIEVE_SEGMENT,
     NeighborhoodSpec,
     Uniform,
+    coeff_bound_test,
     discreteness_witness,
     iter_members,
     member_direct,
@@ -171,6 +186,107 @@ def test_routes_match_the_oracle_at_chosen_rungs(name):
     assert any(LADDER_FROM <= b < bound for b in pivots.terms_until(bound))
     assert oracle_exits(k, pivots, m) == exits
     check_routes(k, pivots, m)
+
+
+# -- the one-sided digit tests ---------------------------------------------------
+
+
+def oracle_ratio(digits, pivots):
+    """max |k_n| b_n / b_{n+1} over the digits, as a Fraction; 0 for none."""
+    return max(
+        (Fraction(abs(k) * pivots.term(n), pivots.term(n + 1)) for n, k in enumerate(digits)),
+        default=Fraction(0),
+    )
+
+
+def check_digit_tests(digits, pivots, m):
+    """max_digit_ratio is the Fraction maximum, and coeff_bound_test holds in
+    each mode exactly when every ratio is at most 1/(8m) (or 3/(8m))."""
+    num, den = max_digit_ratio(digits, pivots.terms(len(digits) + 1))
+    assert den >= 1 and Fraction(num, den) == oracle_ratio(digits, pivots)
+    coeffs = coefficients_from_digits(digits, pivots)
+    for mode, factor in (("sufficient", 1), ("necessary", 3)):
+        assert coeff_bound_test(coeffs, m, mode) == (oracle_ratio(digits, pivots) <= Fraction(factor, 8 * m))
+
+
+@st.composite
+def digit_lists(draw):
+    """(chain, digits): hand-built digit lists whose digits reach past the
+    balance bound b_{n+1} / (2 b_n), some of them 0, plus trailing zeros;
+    the empty list too."""
+    text = draw(st.sampled_from(sorted(CHAINS)))
+    pivots = CHAINS[text]
+    digits = []
+    for n in range(draw(st.integers(min_value=0, max_value=10))):
+        reach = 2 * pivots.term(n + 1) // pivots.term(n) + 2
+        digits.append(draw(st.one_of(st.just(0), st.integers(min_value=-reach, max_value=reach))))
+    return text, digits + [0] * draw(st.integers(min_value=0, max_value=3))
+
+
+@given(digit_lists(), st.sampled_from(LEVELS))
+def test_digit_tests_match_the_fraction_definition(case, m):
+    text, digits = case
+    check_digit_tests(digits, CHAINS[text], m)
+
+
+def boundary_digit_lists():
+    """(chain, m, factor, digits, negated digits): one digit k_n, where
+    |k_n| b_n / b_{n+1} is exactly factor/(8m) wherever that k_n is an
+    integer; the negated list carries a trailing zero."""
+    cases = []
+    for text, pivots in sorted(CHAINS.items()):
+        for m in LEVELS:
+            for factor in (1, 3):
+                for n in range(6):
+                    top, bottom = factor * pivots.term(n + 1), 8 * m * pivots.term(n)
+                    if top % bottom == 0:
+                        k = top // bottom
+                        cases.append((text, m, factor, [0] * n + [k], [0] * n + [-k, 0]))
+    return cases
+
+
+def test_digit_tests_at_their_exact_bounds():
+    cases = boundary_digit_lists()
+    assert {factor for _, _, factor, _, _ in cases} == {1, 3}
+    for text, m, factor, *lists in cases:
+        pivots = CHAINS[text]
+        for digits in lists:
+            num, den = max_digit_ratio(digits, pivots.terms(len(digits) + 1))
+            assert 8 * m * num == factor * den
+            mode = "sufficient" if factor == 1 else "necessary"
+            assert coeff_bound_test(coefficients_from_digits(digits, pivots), m, mode)
+            check_digit_tests(digits, pivots, m)
+            over = [d + (d > 0) - (d < 0) for d in digits]  # one past the bound
+            assert not coeff_bound_test(coefficients_from_digits(over, pivots), m, mode)
+            check_digit_tests(over, pivots, m)
+
+
+def test_digit_tests_on_the_empty_list():
+    for pivots in CHAINS.values():
+        assert max_digit_ratio([], pivots.terms(1)) == (0, 1)
+        check_digit_tests([], pivots, 1)
+        check_digit_tests([0, 0, 0], pivots, 1)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(sorted(CHAINS)),
+            st.sampled_from(LEVELS),
+            st.integers(min_value=-(10**6), max_value=10**6),
+        ),
+        ladder_values(),
+    )
+)
+def test_member_partial_scan_with_precomputed_digits(case):
+    text, m, k = case
+    pivots = CHAINS[text]
+    terms = pivots.terms_until(4 * m * abs(k), extra=1)
+    digits = decompose_digits(k, terms, bisect_left(terms, abs(k)))
+    expected = member_partial_scan(k, terms, m)
+    assert member_partial_scan(k, terms, m, digits) == expected
+    assert expected == (first_arc_exit(k, terms, m) is None)
 
 
 # -- the window scans ----------------------------------------------------------
