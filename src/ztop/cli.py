@@ -13,7 +13,7 @@ out of memory, or an internal error.
 
 A JSON config file (--config) may supply any long option (dashes become
 underscores); explicit command-line flags win. The ZTOP_BIT_BUDGET
-environment variable overrides the per-term bit budget.
+environment variable, an integer >= 1, overrides the per-term bit budget.
 """
 
 from __future__ import annotations
@@ -437,10 +437,12 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     settings = _Settings(args, config, flags[args.command])
     try:
-        report, status = _RUNNERS[args.command](settings)
         fmt = settings.get("format", "json")
-        if fmt == "csv" and args.command != "blocks":
-            raise ValueError("CSV output is only available for tabular subcommands (blocks)")
+        formats = ("json", "csv") if args.command == "blocks" else ("json",)  # CSV needs a table
+        if fmt not in formats:
+            allowed = " or ".join(formats)
+            raise ValueError(f"option --format for {args.command} must be {allowed}, got {fmt!r}")
+        report, status = _RUNNERS[args.command](settings)
         _write(report.render(fmt), settings.get("output"))
         return status
     except BitBudgetExceeded as exc:

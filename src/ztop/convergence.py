@@ -15,9 +15,11 @@ returns an explicit Verdict over a horizon:
 * ``inconclusive`` -- the scan hit the chain's bit budget before the
   horizon.
 
-Uniform witnesses come from the kernel ``first_arc_exit``, which reduces
-l_j down the chain by a residue ladder, each step a division between
-neighbouring terms.
+``prefix_test`` and ``falsify_uniform`` share one witness scan, which
+evaluates l_j in order of j, so a budget refusal keeps the witnesses found
+before it. Uniform witnesses come from the kernel ``first_arc_exit``, which
+reduces l_j down the chain by a residue ladder, each step a division
+between neighbouring terms. ``peak_decay_report`` evaluates each l_j once.
 
 Block statistics: settle index j_n is the least index from which b_n
 divides every term; block M_n spans [j_n, j_{n+1}) (just {j_n} when the two
@@ -34,12 +36,13 @@ showing it is not necessary.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from ztop._kernels import first_arc_exit, wrap_half
-from ztop.neighborhoods import NeighborhoodSpec, Uniform
+from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform
 from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
 from ztop.torus import TorusPoint, check_level, check_positive_int
 
@@ -148,17 +151,22 @@ class Witness(NamedTuple):
     value: Optional[TorusPoint]
 
 
-def _first_uniform_failure(l: int, pivots: PivotSequence, m: int):
-    """(n, point) for the least index n putting l/b_n outside the level-m arc,
-    or None when l is a member."""
-    if l == 0:
-        return None
-    terms = pivots.terms_until(4 * m * (-l if l < 0 else l))
-    n = first_arc_exit(l, terms, m)
-    if n is None:
-        return None
-    b = terms[n]
-    return n, TorusPoint(Fraction(wrap_half(l, b), b))
+def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int):
+    """The Witness of every index j <= horizon whose term falls outside the
+    neighbourhood, in order of j. Each l_j is evaluated when the scan
+    reaches it, so a BitBudgetExceeded comes after every earlier witness."""
+    pivots, family = spec.pivots, spec.family
+    for j in range(1, horizon + 1):
+        l = eval_sequence(seq, j)
+        if isinstance(family, Linear):
+            if l % pivots.term(family.n):
+                yield Witness(j, family.n, None)
+        elif l:
+            terms = pivots.terms_until(4 * family.m * abs(l))
+            n = first_arc_exit(l, terms, family.m)
+            if n is not None:
+                b = terms[n]
+                yield Witness(j, n, TorusPoint(Fraction(wrap_half(l, b), b)))
 
 
 class Verdict(NamedTuple):
@@ -180,20 +188,11 @@ def prefix_test(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int) -> V
     falsify, with every failing (j, n) pair listed. Hitting the bit budget
     yields an inconclusive verdict.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_positive_int(horizon, "horizon")
     fails: list[Witness] = []
     try:
-        for j in range(1, horizon + 1):
-            lj = eval_sequence(seq, j)
-            if isinstance(spec.family, Uniform):
-                hit = _first_uniform_failure(lj, spec.pivots, spec.family.m)
-                if hit is not None:
-                    fails.append(Witness(j, hit[0], hit[1]))
-            else:
-                n = spec.family.n
-                if lj % spec.pivots.term(n) != 0:
-                    fails.append(Witness(j, n, None))
+        for witness in _witnesses(seq, spec, horizon):
+            fails.append(witness)
     except BitBudgetExceeded as exc:
         return Verdict("inconclusive", None, tuple(fails), horizon, spec, note=str(exc))
     if not fails:
@@ -209,16 +208,11 @@ def falsify_uniform(
 ) -> list[Witness]:
     """Every index j <= horizon whose term falls outside the level-m uniform
     neighbourhood, each with its least certifying chain index and the exact
-    circle value there. Sorted by j; empty means no witness below horizon."""
-    check_level(m)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    out = []
-    for j in range(1, horizon + 1):
-        hit = _first_uniform_failure(eval_sequence(seq, j), pivots, m)
-        if hit is not None:
-            out.append(Witness(j, hit[0], hit[1]))
-    return out
+    circle value there. Sorted by j; empty means no witness below horizon.
+    Raises BitBudgetExceeded where the uniform prefix test is inconclusive."""
+    spec = NeighborhoodSpec(pivots, Uniform(m))
+    check_positive_int(horizon, "horizon")
+    return list(_witnesses(seq, spec, horizon))
 
 
 # -- block statistics --------------------------------------------------------
@@ -262,8 +256,7 @@ def block_statistics(
     indices coincide (the degenerate rule M_n = {j_n}); for strictly
     increasing settle indices they partition [j_1, horizon].
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_positive_int(horizon, "horizon")
     cap = horizon if levels is None else check_positive_int(levels, "levels")
     values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
     # suffix[s] = gcd(l_{s+1}, ..., l_horizon), and suffix[horizon] = 0: b_n
@@ -299,13 +292,9 @@ def block_statistics(
         for n, (lo, hi) in blocks.items():
             if lo > hi:
                 continue
-            try:
-                bn1 = pivots.term(n + 1)
-            except BitBudgetExceeded as exc:
-                note = str(exc)
-                break
+            # n < n_top, and the settle loop has already built b_{n_top}
             peak = max(abs(values[j - 1]) for j in range(lo, hi + 1))
-            peaks[n] = Fraction(peak, bn1)
+            peaks[n] = Fraction(peak, pivots.term(n + 1))
     return BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
 
 
@@ -334,7 +323,10 @@ def peak_decay_report(
 
     When n0 exists the report cross-checks the implied membership: the
     level-m prefix test must not certify failures at or beyond block n0.
+    The block statistics and these prefix tests read l_1..l_horizon from one
+    memo, so each term is evaluated once per report.
     """
+    seq = IntegerSequence("custom", pivots, functools.cache(functools.partial(eval_sequence, seq)))
     stats = block_statistics(seq, pivots, horizon, levels=levels)
     entries = []
     computed = sorted(stats.peaks)

@@ -120,13 +120,20 @@ def parse_descriptor(text: str) -> PivotDescriptor:
 
 
 def resolve_bit_budget(bit_budget: int | None = None) -> int:
-    """The given budget, else ZTOP_BIT_BUDGET, else the default."""
+    """The given budget, else ZTOP_BIT_BUDGET, else the default. The variable
+    must hold an integer >= 1."""
     if bit_budget is not None:
         return int(bit_budget)
     env = os.environ.get(BIT_BUDGET_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BIT_BUDGET
+    if env is None:
+        return DEFAULT_BIT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{BIT_BUDGET_ENV} must be an integer >= 1, got {env!r}")
+    return budget
 
 
 class PivotSequence:

@@ -203,6 +203,31 @@ def test_non_path_output_in_config_is_refused(tmp_path, capsys, output):
     assert (status, out, err) == (2, "", f"ztop: option --output must be a path, got {output!r}\n")
 
 
+@pytest.mark.parametrize(
+    "fmt, argv",
+    [
+        ("xml", ("decompose", "--pivots", "linear", "--l", "5")),
+        ("xml", ("blocks", "--pivots", "square", "--sequence", "zero", "--horizon", "5")),
+        (1, ("blocks", "--pivots", "square", "--sequence", "zero", "--horizon", "5")),
+        ("csv", ("decompose", "--pivots", "linear", "--l", "5")),
+    ],
+)
+def test_config_format_outside_the_choices_is_refused(tmp_path, capsys, fmt, argv):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": fmt}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (status, out) == (2, "")
+    assert "--format" in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "1.5", "0"])
+def test_bad_bit_budget_env_is_a_usage_error(capsys, monkeypatch, budget):
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")
+    assert (status, out) == (2, "")
+    assert err.startswith("ztop: ZTOP_BIT_BUDGET must be an integer >= 1")
+
+
 def test_bad_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--pivots", "square", "--sequence", "nonsense", "--m", "1", "--horizon", "5"])

@@ -349,6 +349,66 @@ def test_peak_decay_report(square):
     assert all(e.applicable and e.settled_level == 1 for e in report.entries)
 
 
+def test_peak_decay_report_evaluates_each_term_once(square):
+    """block_statistics and the per-threshold prefix tests share one
+    evaluation of l_1..l_horizon."""
+    calls = []
+
+    def pivotsucc(j):
+        calls.append(j)
+        return square.term(j + 1)
+
+    seq = make_sequence("custom", square, fn=pivotsucc)
+    report = peak_decay_report(seq, square, 20, thresholds=(1, 2, 3))
+    assert all(e.applicable for e in report.entries)  # each threshold runs a prefix test
+    assert sorted(calls) == list(range(1, 21))
+
+
+WITNESS_CHAINS = ("square", "factorial", "chain:2,3", "poly:1,1")
+
+
+@pytest.mark.parametrize("budget", [None, "64"])
+@pytest.mark.parametrize("text", WITNESS_CHAINS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_falsify_uniform_lists_the_prefix_test_witnesses(monkeypatch, family, text, budget):
+    """falsify_uniform and the uniform prefix test report the same
+    witnesses, and the same refusal when the budget cuts the scan short."""
+    if budget is None:
+        monkeypatch.delenv("ZTOP_BIT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
+    pivots = make_pivots(text)
+    seq = make_sequence(family, pivots)
+    for m, horizon in ((1, 30), (3, 12), (5, 1)):
+        verdict = prefix_test(seq, NeighborhoodSpec(pivots, Uniform(m)), horizon)
+        if verdict.outcome == "inconclusive":
+            with pytest.raises(BitBudgetExceeded) as exc:
+                falsify_uniform(seq, pivots, m, horizon)
+            assert str(exc.value) == verdict.note
+        else:
+            assert falsify_uniform(seq, pivots, m, horizon) == list(verdict.witnesses)
+
+
+@pytest.mark.parametrize("horizon", [True, 2.0, 0, -1, "5", None])
+@pytest.mark.parametrize("query", ["prefix_uniform", "prefix_linear", "falsify", "blocks", "decay"])
+def test_sequence_queries_reject_a_bad_horizon(square, query, horizon):
+    seq = make_sequence("pow2")
+    calls = {
+        "prefix_uniform": lambda: prefix_test(seq, NeighborhoodSpec(square, Uniform(1)), horizon),
+        "prefix_linear": lambda: prefix_test(seq, NeighborhoodSpec(square, Linear(1)), horizon),
+        "falsify": lambda: falsify_uniform(seq, square, 1, horizon),
+        "blocks": lambda: block_statistics(seq, square, horizon),
+        "decay": lambda: peak_decay_report(seq, square, horizon, (1,)),
+    }
+    with pytest.raises(ValueError, match=f"horizon must be a positive integer, got {horizon!r}"):
+        calls[query]()
+
+
+def test_falsify_uniform_reports_a_bad_level_before_a_bad_horizon(square):
+    with pytest.raises(ValueError, match="arc level"):
+        falsify_uniform(make_sequence("pow2"), square, 0, 0)
+
+
 def test_hierarchy_uniform_implies_linear(square, linear):
     """Stabilizing at uniform level b_n forces stabilization for the linear
     neighbourhood at n, no later."""

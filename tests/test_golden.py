@@ -1,7 +1,9 @@
 """CLI output byte for byte against saved runs.
 
 ``tests/data/golden/<name>.stdout`` holds what each case below printed
-before the window scans moved to the arc sieve; ``<name>.stderr``, when
+before the window scans moved to the arc sieve (the ``dual``, ``discrete``
+and ``verify-paper`` cases) or before the sequence queries shared one
+witness scan (the ``converge`` and ``blocks`` cases); ``<name>.stderr``, when
 present, holds its error output (absent means none). Any change to a
 verdict, a survivor list, a failing k or a budget refusal shows here.
 """
@@ -38,6 +40,30 @@ CASES = {
     # chi passes every member the budget allows, then the scan needs b_5
     "dual-budget-exceeded": (
         ["dual", "--pivots", "factorial", "--chi", "1/4", "--m", "2", "--window", "3000000"], "64", 2),
+    "converge-square-blockexample": (
+        ["converge", "--pivots", "square", "--sequence", "blockexample", "--m", "1",
+         "--horizon", "50"], None, 1),
+    "converge-linear-pow2": (
+        ["converge", "--pivots", "linear", "--sequence", "pow2", "--n", "4", "--horizon", "20"],
+        None, 0),
+    # b_5 of the factorial chain needs 121 bits: the very first uniform scan
+    # is refused, so the verdict is inconclusive with no witnesses
+    "converge-budget-inconclusive": (
+        ["converge", "--pivots", "factorial", "--sequence", "pivotsucc", "--m", "1",
+         "--horizon", "10"], "64", 0),
+    # witnesses up to j = 35, then the scan of l_47 needs b_8, which is refused
+    "converge-budget-witnesses": (
+        ["converge", "--pivots", "square", "--sequence", "pow2", "--m", "2", "--horizon", "80"],
+        "64", 0),
+    "blocks-square-pivotsucc": (
+        ["blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
+         "--thresholds", "1,2"], None, 0),
+    "blocks-square-blockexample-csv": (
+        ["blocks", "--pivots", "square", "--sequence", "blockexample", "--horizon", "40",
+         "--thresholds", "1,4", "--format", "csv"], None, 0),
+    "blocks-budget-factorial-zero": (
+        ["blocks", "--pivots", "factorial", "--sequence", "zero", "--horizon", "10",
+         "--thresholds", "1,2"], "64", 0),
 }
 
 

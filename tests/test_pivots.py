@@ -12,6 +12,7 @@ from ztop.pivots import (
     has_min_exponent_gap,
     make_pivots,
     parse_descriptor,
+    resolve_bit_budget,
     validate_prefix,
 )
 
@@ -137,6 +138,16 @@ def test_bit_budget_env_override(monkeypatch):
     assert seq.bit_budget == 50
     with pytest.raises(BitBudgetExceeded):
         seq.term(8)  # 65 bits
+
+
+@pytest.mark.parametrize("budget", ["abc", "1.5", "0", "-3", ""])
+def test_bit_budget_env_must_be_a_positive_integer(monkeypatch, budget):
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
+    with pytest.raises(ValueError, match=f"ZTOP_BIT_BUDGET must be an integer >= 1, got {budget!r}"):
+        resolve_bit_budget()
+    with pytest.raises(ValueError, match="ZTOP_BIT_BUDGET"):
+        make_pivots("square")
+    assert resolve_bit_budget(64) == 64  # an explicit budget does not read the variable
 
 
 def test_terms_until_covers_bound(square):
