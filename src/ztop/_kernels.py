@@ -8,7 +8,13 @@ lists materialized by the caller; no rationals are constructed here.
 ``first_arc_exit`` is the one answer to "where does k/b_n leave the arc?".
 It uses the chain's divisibility: past the one-digit terms it reduces k
 once, modulo the last term it needs, and then walks a residue ladder down
-the chain, each step a division between neighbouring terms.
+the chain, each step a division between neighbouring terms, until a
+residue is zero.
+
+``trailing_zeros`` lets callers shift powers of two out of an integer
+before a gcd or a division: CPython divides big integers by schoolbook long
+division, with no fast path for powers of two, so gcd(2^a, 2^b) costs as
+much as a long division of the two.
 """
 
 from bisect import bisect_left
@@ -16,6 +22,21 @@ from itertools import compress
 from math import gcd
 
 _ONE_DIGIT = 1 << 30  # below this a term is one 30-bit CPython digit
+
+
+def trailing_zeros(x):
+    """The exponent of 2 in x != 0, its count of trailing zero bits; the
+    sign of x does not matter."""
+    return (x & -x).bit_length() - 1
+
+
+def twos_gcd(a, b):
+    """math.gcd(a, b), with each argument's power of two shifted out first,
+    so that gcd(2^a, 2^b) costs two shifts instead of a long division."""
+    if not a or not b:
+        return abs(a or b)
+    ta, tb = trailing_zeros(a), trailing_zeros(b)
+    return gcd(a >> ta, b >> tb) << min(ta, tb)
 
 
 def nearest_int_div(p, q):
@@ -118,17 +139,25 @@ def first_arc_exit(k, terms, m):
     term >= 4m|k|.
 
     Terms below 2^30 are tested bottom-up with k itself, stopping at the
-    first exit: dividing by a one-digit term is cheap. The larger terms are
+    first exit: dividing by a one-digit term is cheap. When the scan goes
+    past 2^30 and the largest one-digit term divides k, every one-digit term
+    divides k and passes, so that loop is skipped. The larger terms are
     walked down a residue ladder. Since k mod b_n = (k mod b_{n+1}) mod b_n
     along the chain, k is reduced once, modulo the last term below 4m|k|,
     and each step below divides the previous residue by its neighbouring
-    term. The least failing index the ladder passes wins.
+    term. A zero residue ends the ladder: the terms below it divide k and
+    pass. The least failing index the ladder passes wins.
     """
     if k == 0:
         return None
     ak = -k if k < 0 else k
     bound = 4 * m * ak
-    for n in range(1, len(terms)):
+    start = 1
+    if bound > _ONE_DIGIT:
+        last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
+        if last and not k % terms[last]:
+            start = last + 1
+    for n in range(start, len(terms)):
         b = terms[n]
         if b >= bound:
             return None
@@ -147,6 +176,8 @@ def first_arc_exit(k, terms, m):
     for i in range(top - 1, n - 1, -1):
         b = terms[i]
         r %= b
+        if not r:
+            break
         t = b - r if (r << 1) >= b else r
         if 4 * m * t > b:
             least = i

@@ -19,6 +19,7 @@ environment variable, an integer >= 1, overrides the per-term bit budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import sys
@@ -110,6 +111,23 @@ def _write(text: str, output: str | None):
             raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift the interpreter's limit on int <-> str conversion, where it has
+    one, and put the previous limit back afterwards. Exact rationals from a
+    chain can have more decimal digits than the default 4,300; the bit
+    budget already bounds their size."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def _build_parser():
@@ -442,8 +460,9 @@ def main(argv=None) -> int:
         if fmt not in formats:
             allowed = " or ".join(formats)
             raise ValueError(f"option --format for {args.command} must be {allowed}, got {fmt!r}")
-        report, status = _RUNNERS[args.command](settings)
-        _write(report.render(fmt), settings.get("output"))
+        with _no_int_digit_limit():
+            report, status = _RUNNERS[args.command](settings)
+            _write(report.render(fmt), settings.get("output"))
         return status
     except BitBudgetExceeded as exc:
         print(f"ztop: bit budget exceeded: {exc}", file=sys.stderr)

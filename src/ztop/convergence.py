@@ -19,7 +19,16 @@ returns an explicit Verdict over a horizon:
 evaluates l_j in order of j, so a budget refusal keeps the witnesses found
 before it. Uniform witnesses come from the kernel ``first_arc_exit``, which
 reduces l_j down the chain by a residue ladder, each step a division
-between neighbouring terms. ``peak_decay_report`` evaluates each l_j once.
+between neighbouring terms, and stops at a zero residue.
+``peak_decay_report`` evaluates each l_j once.
+
+Chain terms reach 10^5-10^6 bits, and CPython divides such integers by
+schoolbook long division, at a cost of the quotient's size times the
+divisor's, with no fast path for powers of two. So no sequence query
+divides where the quotient is large: ``pivothalf`` is a shift and a
+subtraction, and the suffix gcds and the exact ratios (peaks and witness
+points) shift out powers of two before ``math.gcd`` or ``Fraction`` sees
+them.
 
 Block statistics: settle index j_n is the least index from which b_n
 divides every term; block M_n spans [j_n, j_{n+1}) (just {j_n} when the two
@@ -41,7 +50,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ztop._kernels import first_arc_exit, wrap_half
+from ztop._kernels import first_arc_exit, trailing_zeros, twos_gcd, wrap_half
 from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform
 from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
 from ztop.torus import TorusPoint, check_level, check_positive_int
@@ -118,7 +127,13 @@ def eval_sequence(seq: IntegerSequence, j: int) -> int:
     if fam == "wgeomdiff":
         return j * b(j + 1) - b(j)
     if fam == "pivothalf":
-        return b(j) * (b(j + 1) // (2 * b(j)))
+        # b_j * floor(r / 2) with r = b_{j+1} / b_j: b_{j+1} / 2 when r is
+        # even, (b_{j+1} - b_j) / 2 when r is odd, that is when b_j and
+        # b_{j+1} hold the same power of two
+        lo, hi = b(j), b(j + 1)
+        if lo & -lo == hi & -hi:
+            return (hi - lo) >> 1
+        return hi >> 1
     if fam == "pivotsucc":
         return b(j + 1)
     raise ValueError(f"unknown sequence family {fam!r}")
@@ -166,7 +181,17 @@ def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int):
             n = first_arc_exit(l, terms, family.m)
             if n is not None:
                 b = terms[n]
-                yield Witness(j, n, TorusPoint(Fraction(wrap_half(l, b), b)))
+                yield Witness(j, n, TorusPoint(_ratio(wrap_half(l, b), b)))
+
+
+def _ratio(p, q):
+    """Fraction(p, q) for q >= 1. The power of two p and q share is shifted
+    out first, so that Fraction's own gcd never divides one large power of
+    two by another."""
+    if p:
+        s = min(trailing_zeros(p), trailing_zeros(q))
+        p, q = p >> s, q >> s
+    return Fraction(p, q)
 
 
 class Verdict(NamedTuple):
@@ -263,7 +288,7 @@ def block_statistics(
     # divides every term from index s + 1 on iff it divides suffix[s]
     suffix = [0] * (horizon + 1)
     for i in range(horizon - 1, -1, -1):
-        suffix[i] = math.gcd(values[i], suffix[i + 1])
+        suffix[i] = twos_gcd(values[i], suffix[i + 1])
     s = 0  # j_n - 1; it never decreases, since b_n divides b_{n+1}
     settle: dict[int, int] = {}
     missing: list[int] = []
@@ -294,7 +319,7 @@ def block_statistics(
                 continue
             # n < n_top, and the settle loop has already built b_{n_top}
             peak = max(abs(values[j - 1]) for j in range(lo, hi + 1))
-            peaks[n] = Fraction(peak, pivots.term(n + 1))
+            peaks[n] = _ratio(peak, pivots.term(n + 1))
     return BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
 
 

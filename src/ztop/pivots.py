@@ -26,6 +26,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence, Union
 
+from ztop.torus import check_positive_int
+
 DEFAULT_BIT_BUDGET = 1_000_000
 BIT_BUDGET_ENV = "ZTOP_BIT_BUDGET"
 
@@ -120,10 +122,11 @@ def parse_descriptor(text: str) -> PivotDescriptor:
 
 
 def resolve_bit_budget(bit_budget: int | None = None) -> int:
-    """The given budget, else ZTOP_BIT_BUDGET, else the default. The variable
-    must hold an integer >= 1."""
+    """The given budget, else ZTOP_BIT_BUDGET, else the default. Both must
+    be an integer >= 1; a given budget that is a bool or a float is refused,
+    not truncated."""
     if bit_budget is not None:
-        return int(bit_budget)
+        return check_positive_int(bit_budget, "bit budget")
     env = os.environ.get(BIT_BUDGET_ENV)
     if env is None:
         return DEFAULT_BIT_BUDGET

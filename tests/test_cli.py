@@ -334,6 +334,26 @@ def test_thresholds_errors_name_the_flag(capsys, text, bad):
     assert (status, out, err) == (2, "", f"ztop: option --thresholds must be an integer, got {bad!r}\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit")
+def test_exact_rationals_print_past_the_int_str_digit_limit(capsys):
+    # the peak of block 14 is b_14 / b_15 = 1/2^16384, whose denominator has
+    # 4,933 decimal digits, past the interpreter's default limit of 4,300
+    before = sys.get_int_max_str_digits()
+    status, out, err = run_cli(
+        capsys, "blocks", "--pivots", "pow2", "--sequence", "pivotsucc", "--horizon", "14"
+    )
+    assert (status, err) == (0, "")
+    _, rows = parse_ndjson(out)
+    peaks = {row["n"]: row["peak"] for row in rows if row["kind"] == "block"}
+    assert sys.get_int_max_str_digits() == before  # restored for in-process callers
+    numerator, denominator = peaks[14].split("/")
+    sys.set_int_max_str_digits(0)  # to read the denominator back
+    try:
+        assert (numerator, int(denominator)) == ("1", 2**16384)
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
     def broken(settings):
         raise RuntimeError("boom")

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ztop._kernels import trailing_zeros, twos_gcd
 from ztop.convergence import (
     FAMILIES,
     BlockStatistics,
@@ -18,8 +21,9 @@ from ztop.convergence import (
     peak_decay_report,
     prefix_test,
 )
+from ztop.convergence import _ratio  # the exact ratio behind peaks and witness points
 from ztop.neighborhoods import Linear, Uniform, member_direct
-from ztop.pivots import BitBudgetExceeded, make_pivots
+from ztop.pivots import BitBudgetExceeded, MultiplierFunc, make_pivots
 from ztop.torus import canonicalize, check_positive_int, in_arc
 
 HALF = canonicalize(Fraction(1, 2))
@@ -137,6 +141,77 @@ def test_witness_soundness(square):
             point = canonicalize(Fraction(lj, square.term(w.n)))
             assert point == w.value
             assert not in_arc(point, 1)
+
+
+# -- pivothalf without the long division --------------------------------------
+
+# every descriptor form, multiplier chains whose ratios are all odd, all
+# even or mixed, and a callable chain; the 4096-bit budget ends each run
+PIVOTHALF_CHAINS = {
+    text: text
+    for text in (
+        "linear", "square", "factorial", "pow2", "poly:1,1", "poly:0,1,2",
+        "chain:3", "chain:2,3,5", "chain:5,7", "chain:2,3", "chain:4,6",
+    )
+}
+PIVOTHALF_CHAINS["func"] = MultiplierFunc(lambda step: (2, 3, 9, 4, 5, 6)[step % 6], name="mixed")
+
+
+def pivothalf_by_division(pivots, j):
+    """l_j = b_j * floor(b_{j+1} / (2 b_j)), the family's definition."""
+    b = pivots.term
+    return b(j) * (b(j + 1) // (2 * b(j)))
+
+
+@pytest.mark.parametrize("name", sorted(PIVOTHALF_CHAINS))
+def test_pivothalf_matches_the_division_definition(name):
+    pivots = make_pivots(PIVOTHALF_CHAINS[name], bit_budget=4096)
+    seq = make_sequence("pivothalf", pivots)
+    j = 1
+    while True:
+        try:
+            expected = pivothalf_by_division(pivots, j)
+        except BitBudgetExceeded as exc:
+            with pytest.raises(BitBudgetExceeded, match=re.escape(str(exc))):
+                eval_sequence(seq, j)
+            break
+        assert eval_sequence(seq, j) == expected
+        j += 1
+    assert j > 5  # the factorial chain stops first, at b_7 = 2^5040
+
+
+# -- gcds and ratios with the twos shifted out --------------------------------
+
+SIGNS = st.sampled_from((1, -1))
+EXPONENTS = st.integers(min_value=0, max_value=3000)
+ODD = st.integers(min_value=0, max_value=2**400).map(lambda x: 2 * x + 1)
+# zero, small values of either sign, pure powers of two, odd values and
+# odd values times a power of two
+VALUES = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.builds(lambda s, e: s << e, SIGNS, EXPONENTS),
+    st.builds(lambda s, o: s * o, SIGNS, ODD),
+    st.builds(lambda s, o, e: s * o << e, SIGNS, ODD, EXPONENTS),
+)
+POSITIVE = VALUES.map(abs).filter(bool)
+
+
+@given(VALUES.filter(bool))
+def test_trailing_zeros_counts_the_power_of_two(x):
+    e = trailing_zeros(x)
+    assert x % (1 << e) == 0 and x % (2 << e) != 0
+
+
+@given(VALUES, VALUES)
+def test_twos_gcd_matches_math_gcd(a, b):
+    assert twos_gcd(a, b) == math.gcd(a, b)
+
+
+@given(VALUES, POSITIVE)
+def test_ratio_matches_fraction(p, q):
+    r, f = _ratio(p, q), Fraction(p, q)
+    assert (type(r), r.numerator, r.denominator) == (Fraction, f.numerator, f.denominator)
 
 
 def test_blocks_geomdiff(square):

@@ -2,10 +2,13 @@
 
 ``tests/data/golden/<name>.stdout`` holds what each case below printed
 before the window scans moved to the arc sieve (the ``dual``, ``discrete``
-and ``verify-paper`` cases) or before the sequence queries shared one
-witness scan (the ``converge`` and ``blocks`` cases); ``<name>.stderr``, when
-present, holds its error output (absent means none). Any change to a
-verdict, a survivor list, a failing k or a budget refusal shows here.
+and ``verify-paper`` cases), before the sequence queries shared one witness
+scan (the other ``converge`` and ``blocks`` cases) or before ``pivothalf``
+lost its long division (the ``pivothalf`` cases). The long-peaks case was
+saved when the CLI learnt to print past the interpreter's int -> str digit
+limit; before that it exited 2. ``<name>.stderr``, when present, holds its
+error output (absent means none). Any change to a verdict, a survivor list,
+a failing k or a budget refusal shows here.
 """
 
 import contextlib
@@ -55,9 +58,21 @@ CASES = {
     "converge-budget-witnesses": (
         ["converge", "--pivots", "square", "--sequence", "pow2", "--m", "2", "--horizon", "80"],
         "64", 0),
+    # the odd-ratio branch of pivothalf: b_{j+1}/b_j alternates 3 and 2
+    "converge-chain-3-2-pivothalf": (
+        ["converge", "--pivots", "chain:3,2", "--sequence", "pivothalf", "--m", "2",
+         "--horizon", "40"], None, 1),
+    # witnesses for j = 1..7; l_8 = 2^362879 (b_9 has 362,881 bits), and its
+    # scan needs b_10, which is refused
+    "converge-factorial-pivothalf": (
+        ["converge", "--pivots", "factorial", "--sequence", "pivothalf", "--m", "1",
+         "--horizon", "21"], None, 0),
     "blocks-square-pivotsucc": (
         ["blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
          "--thresholds", "1,2"], None, 0),
+    # the peak of block 14 is 1/2^16384, past the default int -> str limit
+    "blocks-pow2-pivotsucc-long-peaks": (
+        ["blocks", "--pivots", "pow2", "--sequence", "pivotsucc", "--horizon", "14"], None, 0),
     "blocks-square-blockexample-csv": (
         ["blocks", "--pivots", "square", "--sequence", "blockexample", "--horizon", "40",
          "--thresholds", "1,4", "--format", "csv"], None, 0),

@@ -4,7 +4,8 @@ The oracle decides whether k/b_n lies in the closed arc [-1/(4m), 1/(4m)]
 with ``in_arc(canonicalize(Fraction(k, b_n)), m)``, index by index. It runs
 two indices past the first term >= 4m|k|, so it also checks the cut-off the
 kernels rely on: from there on every k/b_n is inside the arc. Values up to
-about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder.
+about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
+multiples of chain terms reach its zero-residue shortcuts.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
@@ -186,6 +187,43 @@ def test_routes_match_the_oracle_at_chosen_rungs(name):
     assert any(LADDER_FROM <= b < bound for b in pivots.terms_until(bound))
     assert oracle_exits(k, pivots, m) == exits
     check_routes(k, pivots, m)
+
+
+# -- zero residues ----------------------------------------------------------------
+
+# The ladder stops at its first zero residue, and once the scan goes past 2^30
+# the one-digit terms are skipped when the largest of them divides k. These k
+# are multiples of a chain term with and without a small offset, for terms on
+# both sides of 2^30, and multiples of the largest one-digit term that the
+# next term does not divide.
+
+
+def term_multiples(pivots, j):
+    b = pivots.term(j)
+    return [s * (c * b + d) for s in (1, -1) for c in (1, 2, 3, 7) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("text", sorted(CHAINS))
+def test_first_arc_exit_on_multiples_of_a_term(text):
+    pivots = CHAINS[text]
+    top = last_index_below(pivots, 30)  # the largest one-digit term
+    for j in sorted({1, 2, top - 1, top, top + 1, top + 2, last_index_below(pivots, K_BITS)}):
+        for k in term_multiples(pivots, j):
+            for m in LEVELS:
+                first = (oracle_exits(k, pivots, m) or [None])[0]
+                assert first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m) == first, (j, k, m)
+
+
+@pytest.mark.parametrize("text", sorted(CHAINS))
+def test_first_arc_exit_when_only_the_one_digit_terms_divide(text):
+    pivots = CHAINS[text]
+    top = last_index_below(pivots, 30)
+    b, ratio = pivots.term(top), pivots.term(top + 1) // pivots.term(top)
+    for c in (1, ratio - 1, ratio + 1, ratio**2 + 1, 5 * ratio**3 - 1, 2**200 * ratio + 1):
+        for k in (c * b, -c * b):
+            assert k % pivots.term(top + 1)
+            for m in LEVELS:
+                check_routes(k, pivots, m)
 
 
 # -- the one-sided digit tests ---------------------------------------------------

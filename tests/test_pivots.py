@@ -150,6 +150,17 @@ def test_bit_budget_env_must_be_a_positive_integer(monkeypatch, budget):
     assert resolve_bit_budget(64) == 64  # an explicit budget does not read the variable
 
 
+@pytest.mark.parametrize("budget", [2.9, True, 0, -5])
+def test_explicit_bit_budget_must_be_a_positive_int(budget):
+    # refused by name rather than truncated (2.9 -> 2, True -> 1) or taken
+    # as a budget that then refuses every term (0, -5)
+    message = f"bit budget must be a positive integer, got {budget!r}"
+    with pytest.raises(ValueError, match=message):
+        resolve_bit_budget(budget)
+    with pytest.raises(ValueError, match=message):
+        make_pivots("square", bit_budget=budget)
+
+
 def test_terms_until_covers_bound(square):
     terms = square.terms_until(1000)
     assert terms[-1] >= 1000
