@@ -20,8 +20,10 @@ much as a long division of the two.
 from bisect import bisect_left
 from itertools import compress
 from math import gcd
+from operator import itemgetter
 
 _ONE_DIGIT = 1 << 30  # below this a term is one 30-bit CPython digit
+_SPARSE = 12  # mask_positions walks with find() below one position set in 12
 
 
 def trailing_zeros(x):
@@ -146,7 +148,10 @@ def first_arc_exit(k, terms, m):
     along the chain, k is reduced once, modulo the last term below 4m|k|,
     and each step below divides the previous residue by its neighbouring
     term. A zero residue ends the ladder: the terms below it divide k and
-    pass. The least failing index the ladder passes wins.
+    pass. The least failing index the ladder passes wins. A rung whose term
+    is a power of two masks the residue's low bits instead of dividing: on
+    the pow2 chain the quotient of neighbouring terms has as many bits as
+    the divisor, and CPython's long division has no fast path for it.
     """
     if k == 0:
         return None
@@ -175,7 +180,10 @@ def first_arc_exit(k, terms, m):
     r = k
     for i in range(top - 1, n - 1, -1):
         b = terms[i]
-        r %= b
+        if b & (b - 1):
+            r %= b
+        else:  # a power of two: a mask, not a long division
+            r &= b - 1
         if not r:
             break
         t = b - r if (r << 1) >= b else r
@@ -222,6 +230,28 @@ def member_partial_scan(k, terms, m, digits=None):
         n += 1
 
 
+def mask_positions(mask, start=0):
+    """The integers start + i with mask[i] == 1, in increasing order, for a
+    mask of zero and one bytes; an iterable, read once.
+
+    A sparse mask is walked with ``bytearray.find``, one call per position
+    set, so the zeros between them cost no Python step; a dense one, with
+    at least one position set in _SPARSE, goes lazily through ``compress``,
+    which makes an int for every position but costs less per position than
+    a call to ``find``. Clearing a byte already passed does not disturb the
+    positions still to come.
+    """
+    count = mask.count(1)
+    if count * _SPARSE >= len(mask):
+        return compress(range(start, start + len(mask)), mask)
+    out = []
+    i = mask.find(1)
+    for _ in range(count):
+        out.append(start + i)
+        i = mask.find(1, i + 1)
+    return out
+
+
 def arc_sieve(lo, hi, conds):
     """Mask of the k in [lo, hi] that satisfy every arc condition.
 
@@ -229,13 +259,25 @@ def arc_sieve(lo, hi, conds):
     4 * level * |wrap_half(k * p, q)| <= q, that is iff k*p/q lies in the
     closed arc [-1/(4 level), 1/(4 level)]. It depends on k mod q only: the
     allowed residues are p^-1 * t with |t| <= q // (4 level), and the
-    failing ones are struck out with slice assignment. When p = 1 (mod q)
-    the failing k form one run per period, so the kernel takes whichever
-    costs fewer slices: one slice per period or one stride-q slice per
-    failing residue. Any other condition is struck out residue by residue
-    while the failing residues are no more than the k still standing, and is
-    otherwise checked directly on the survivors, as is one whose p has no
-    inverse mod q.
+    failing ones, t = r+1 .. q-r-1 with r = q // (4 level), are struck out
+    with slice assignment.
+
+    Conditions shaped like a divisibility chain are tiled. Taken in
+    increasing q, a condition with p = 1 (mod q), q no larger than the
+    window and q a multiple of the period built so far extends a one-period
+    pattern by repetition to period q and strikes its one run of failing
+    residues there with a single slice. The intersection of such conditions
+    is periodic mod the last q accepted, so the pattern is copied over the
+    window from offset lo mod period, and a chain term costs one slice
+    whatever the window's length.
+
+    Every other condition is struck out from the tiled mask. When p = 1
+    (mod q) the failing k form one run per period, so the kernel takes
+    whichever costs fewer slices: one slice per period or one stride-q
+    slice per failing residue. Any other condition is struck out residue by
+    residue while the failing residues are no more than the k still
+    standing, and is otherwise checked directly on the survivors, as is one
+    whose p has no inverse mod q.
 
     Byte i of the returned bytearray is 1 iff lo + i satisfies every
     condition. Since |wrap_half(-x, q)| == |wrap_half(x, q)|, the mask of
@@ -244,14 +286,23 @@ def arc_sieve(lo, hi, conds):
     size = hi - lo + 1
     if size <= 0:
         return bytearray()
-    mask = bytearray(b"\x01") * size
     zeros = memoryview(bytes(size))
-    direct = []
-    for p, q, level in conds:
+    pattern, period, rest = bytearray(b"\x01"), 1, []
+    for p, q, level in sorted(conds, key=itemgetter(1)):
         r = q // (4 * level)
         gap = q - 2 * r - 1  # failing residues per period: t = r+1 .. q-r-1
         if gap <= 0:
             continue
+        if p % q == 1 and q <= size and not q % period:
+            pattern *= q // period
+            period = q
+            pattern[r + 1 : q - r] = zeros[:gap]
+        else:
+            rest.append((p, q, r, gap))
+    off = lo % period
+    mask = (pattern * ((off + size - 1) // period + 1))[off : off + size]
+    direct = []
+    for p, q, r, gap in rest:
         if p % q == 1:
             if size // q + 2 <= gap:
                 start = lo + (r + 1 - lo) % q - q
@@ -269,7 +320,7 @@ def arc_sieve(lo, hi, conds):
             if live == 0:
                 return mask
             if gap > live or gcd(p, q) != 1:
-                direct.append((p, q, 4 * level))
+                direct.append((p, q, r))
                 continue
             inv = pow(p, -1, q)
         for t in range(r + 1, q - r):
@@ -277,13 +328,13 @@ def arc_sieve(lo, hi, conds):
             if i0 < size:
                 mask[i0::q] = zeros[: (size - 1 - i0) // q + 1]
     if direct:
-        for i in list(compress(range(size), mask)):
+        for i in mask_positions(mask):
             k = lo + i
-            for p, q, bound in direct:
+            for p, q, r in direct:
                 t = k * p % q
                 if (t << 1) >= q:
                     t = q - t
-                if bound * t > q:
+                if t > r:
                     mask[i] = 0
                     break
     return mask

@@ -21,9 +21,15 @@ Window queries do not ask the question one k at a time. Every condition
 condition |k x mod 1| <= 1/(4 level) of the discreteness certificate with
 period the denominator of x. ``iter_members`` and ``discreteness_witness``
 hand these conditions to the ``arc_sieve`` kernel, which strikes out the
-failing residues of a window segment by slice assignment. Segments hold
-SIEVE_SEGMENT integers at most, so memory stays bounded whatever the window,
-and a consumer that stops early stops the sieve with it.
+failing residues of a window segment by slice assignment. Since b_n divides
+b_{n+1}, the chain's conditions are periodic mod the last term no longer
+than the segment: the kernel builds that one period, one slice per term,
+and tiles it over the segment. The members are read off the mask by
+``mask_positions``, which on a sparse mask jumps from one member to the
+next, so the work follows the chain's terms and the members found rather
+than the integers in the window. Segments hold SIEVE_SEGMENT integers at
+most, so memory stays bounded whatever the window, and a consumer that
+stops early stops the sieve with it.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from ztop._kernels import (
     arc_sieve,
     decompose_digits,
+    mask_positions,
     max_digit_ratio,
     member_direct_scan,
     member_partial_scan,
@@ -180,7 +186,8 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
 
     Uniform members come from ``arc_sieve`` over segments of at most
     SIEVE_SEGMENT positive integers, with one condition (1, b_n, m) per
-    chain term b_n < 4m * (segment end); -k is a member exactly when k is.
+    chain term b_n < 4m * (segment end), and are read off its mask with
+    ``mask_positions``; -k is a member exactly when k is.
     Each segment grows the chain only as far as its own end. When a pivot
     term cannot be built (bit budget, invalid chain), the members the
     existing terms decide are still yielded, and the error is raised at the
@@ -211,7 +218,7 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
             if hi < lo:
                 raise
         conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
-        for k in compress(range(lo, hi + 1), arc_sieve(lo, hi, conds)):
+        for k in mask_positions(arc_sieve(lo, hi, conds), lo):
             yield k
             yield -k
         lo = hi + 1
@@ -256,7 +263,8 @@ def discreteness_witness(
     k survives when 4 * level * |k x mod 1| <= 1 for every x in the prefix.
     The window is sieved by ``arc_sieve`` with one condition (numerator,
     denominator, level) per x, over segments of at most SIEVE_SEGMENT
-    positive integers; -k survives exactly when k does, and 0 always does.
+    positive integers, and the survivors are read off its mask with
+    ``mask_positions``; -k survives exactly when k does, and 0 always does.
     """
     xs = [Fraction(x) for x in xs]
     if not xs:
@@ -284,7 +292,7 @@ def discreteness_witness(
     lo = 1
     while lo <= brute_window:
         hi = min(brute_window, lo + SIEVE_SEGMENT - 1)
-        positive += compress(range(lo, hi + 1), arc_sieve(lo, hi, conds))
+        positive += mask_positions(arc_sieve(lo, hi, conds), lo)
         lo = hi + 1
     survivors = [-k for k in reversed(positive)] + [0] + positive
     return DiscretenessWitness(

@@ -3,8 +3,10 @@
 ``tests/data/golden/<name>.stdout`` holds what each case below printed
 before the window scans moved to the arc sieve (the ``dual``, ``discrete``
 and ``verify-paper`` cases), before the sequence queries shared one witness
-scan (the other ``converge`` and ``blocks`` cases) or before ``pivothalf``
-lost its long division (the ``pivothalf`` cases). The long-peaks case was
+scan (the other ``converge`` and ``blocks`` cases), before ``pivothalf``
+lost its long division (the ``pivothalf`` cases) or before the arc sieve
+tiled the chain's conditions (the ``second-segment`` and ``past-2-16``
+cases). The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. ``<name>.stderr``, when present, holds its
 error output (absent means none). Any change to a verdict, a survivor list,
@@ -28,12 +30,20 @@ CASES = {
     "discrete-halving": (
         ["discrete", "--x", "1/2,1/4,1/8,1/16,1/32,1/64,1/128,1/256,1/512,1/1024",
          "--ratio-bound", "2"], None, 0),
+    # the survivors run past the first sieve segment's end, 2^16
+    "discrete-halving-past-2-16": (
+        ["discrete", "--x", "1/2,1/4,1/8,1/16,1/32,1/64,1/128,1/256,1/512",
+         "--ratio-bound", "2", "--window", "70000"], None, 1),
     "discrete-mixed-numerators": (
         ["discrete", "--x", "2/5,1/7,1/20,1/61", "--ratio-bound", "4", "--window", "3000"], None, 1),
     "discrete-unverified": (
         ["discrete", "--x", "1/3,1/9", "--ratio-bound", "3", "--window", "500"], None, 1),
     "dual-factorial-fails": (
         ["dual", "--pivots", "factorial", "--chi", "1/7", "--m", "2", "--window", "10000"], None, 0),
+    # chi fails at k = 114,690, in the second sieve segment
+    "dual-square-second-segment": (
+        ["dual", "--pivots", "square", "--chi", "1/458752", "--m", "1", "--window", "200000"],
+        None, 0),
     "dual-square-passes": (
         ["dual", "--pivots", "square", "--chi", "1/16", "--m", "1", "--window", "5000"], None, 0),
     # the window reaches past b_5, which the budget refuses: chi fails at

@@ -5,7 +5,9 @@ with ``in_arc(canonicalize(Fraction(k, b_n)), m)``, index by index. It runs
 two indices past the first term >= 4m|k|, so it also checks the cut-off the
 kernels rely on: from there on every k/b_n is inside the arc. Values up to
 about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
-multiples of chain terms reach its zero-residue shortcuts.
+multiples of chain terms reach its zero-residue shortcuts, and the
+``pivothalf`` and ``pivotsucc`` terms of the two-power chains, up to 2^18
+bits, its rungs that mask instead of dividing.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
@@ -16,12 +18,17 @@ The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, the survivors of ``discreteness_witness`` against
 the per-k loop it used to run, and the first failing k of
 ``continuity_window_check``. Some checks shrink the sieve's segment so that
-small windows cross many segment borders.
+small windows cross many segment borders. The arc sieve itself is checked on
+chain-shaped condition lists, whose period it tiles, mixed with conditions it
+must leave to its residue loop; ``mask_positions`` against ``compress`` on
+masks of every density.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from random import Random
 from unittest import mock
 
 import pytest
@@ -33,11 +40,12 @@ from ztop._kernels import (
     arc_sieve,
     decompose_digits,
     first_arc_exit,
+    mask_positions,
     max_digit_ratio,
     member_partial_scan,
     wrap_half,
 )
-from ztop.convergence import falsify_uniform, make_sequence
+from ztop.convergence import eval_sequence, falsify_uniform, make_sequence
 from ztop.decomposition import coefficients_from_digits
 from ztop.duality import character, char_eval, continuity_window_check
 from ztop.neighborhoods import (
@@ -60,6 +68,20 @@ CHAINS["func:2+step%3"] = make_pivots(MultiplierFunc(lambda step: 2 + step % 3, 
 LEVELS = range(1, 9)
 
 
+@lru_cache(maxsize=4096)
+def reduced(k, b):
+    """Fraction(k, b) for k >= 0. Its gcd is most of the oracle's time once
+    k and b have 10^5 bits or more, so -k shares it."""
+    return Fraction(k, b)
+
+
+@lru_cache(maxsize=4096)
+def oracle_point(k, b):
+    """canonicalize(Fraction(k, b)), shared by every level."""
+    x = reduced(abs(k), b)
+    return canonicalize(x if k >= 0 else -x)
+
+
 def oracle_exits(k, pivots, m):
     """Every n >= 1 with k/b_n outside the level-m arc, up to two indices
     past the first term >= 4m|k|."""
@@ -67,7 +89,7 @@ def oracle_exits(k, pivots, m):
     n, past = 1, 0
     while past < 2:
         b = pivots.term(n)
-        if not in_arc(canonicalize(Fraction(k, b)), m):
+        if not in_arc(oracle_point(k, b), m):
             exits.append(n)
         if b >= 4 * m * abs(k):
             past += 1
@@ -224,6 +246,27 @@ def test_first_arc_exit_when_only_the_one_digit_terms_divide(text):
             assert k % pivots.term(top + 1)
             for m in LEVELS:
                 check_routes(k, pivots, m)
+
+
+# Every term of pow2 (2^(2^n)) and factorial (2^(n!)) is a power of two, and
+# the ladder masks the residue's low bits at each rung instead of dividing.
+# On pow2, l_17 of pivothalf is 2^(2^18 - 1); the oracle walks on to b_20,
+# which has 2^20 + 1 bits, past the default budget.
+TWO_POWER_DEPTH = {"pow2": 17, "factorial": 7}
+
+
+@pytest.mark.parametrize("family", ["pivothalf", "pivotsucc"])
+@pytest.mark.parametrize("text", sorted(TWO_POWER_DEPTH))
+def test_first_arc_exit_on_two_power_chains(text, family):
+    pivots = make_pivots(text, bit_budget=1 << 22)
+    seq = make_sequence(family, pivots)
+    for j in range(1, TWO_POWER_DEPTH[text] + 1):
+        l = eval_sequence(seq, j)
+        for k in (l, -l):
+            for m in LEVELS:
+                first = (oracle_exits(k, pivots, m) or [None])[0]
+                got = first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m)
+                assert got == first, (j, k < 0, m)
 
 
 # -- the one-sided digit tests ---------------------------------------------------
@@ -467,6 +510,14 @@ def test_discreteness_witness_with_many_allowed_residues():
     assert list(w.survivors) == reference_survivors(xs, 2, 2500)
 
 
+def oracle_mask(lo, hi, conds):
+    """The arc sieve's mask by the circle oracle, k by k."""
+    return [
+        int(all(in_arc(canonicalize(Fraction(k * p, q)), level) for p, q, level in conds))
+        for k in range(lo, hi + 1)
+    ]
+
+
 @given(
     st.integers(min_value=-200, max_value=200),
     st.integers(min_value=0, max_value=300),
@@ -482,11 +533,96 @@ def test_discreteness_witness_with_many_allowed_residues():
 def test_arc_sieve_matches_the_circle_oracle(lo, length, conds):
     # any numerator, including ones with no inverse mod q, and negative k
     hi = lo + length - 1
-    expected = [
-        all(in_arc(canonicalize(Fraction(k * p, q)), level) for p, q, level in conds)
-        for k in range(lo, hi + 1)
+    assert list(arc_sieve(lo, hi, conds)) == oracle_mask(lo, hi, conds)
+
+
+@st.composite
+def chain_conditions(draw):
+    """(lo, hi, conds) with conditions shaped like a divisibility chain,
+    (1, q, level) or (q + 1, q, level) for q on a random multiplier chain up
+    to three times the window, in shuffled order and sometimes mixed with
+    others that the tiling must leave to the residue loop. The window may be
+    exactly one chain term long."""
+    length = draw(st.integers(min_value=0, max_value=600))
+    qs, q = [], 1
+    while True:
+        q *= draw(st.integers(min_value=2, max_value=6))
+        if q > 3 * max(length, 1):
+            break
+        qs.append(q)
+    if qs and draw(st.booleans()):
+        length = draw(st.sampled_from(qs))
+    qs += draw(st.lists(st.sampled_from(qs), max_size=2)) if qs else []  # repeated terms
+    conds = [
+        (draw(st.sampled_from((1, q + 1))), q, draw(st.integers(min_value=1, max_value=9)))
+        for q in qs
     ]
-    assert list(arc_sieve(lo, hi, conds)) == [int(e) for e in expected]
+    # others: p = 1 off the chain, or another p on a chain term
+    anys = st.integers(min_value=1, max_value=400)
+    conds += draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((1, -1, 2)) | st.integers(min_value=-50, max_value=50),
+                st.sampled_from(qs) | anys if qs else anys,
+                st.integers(min_value=1, max_value=9),
+            ),
+            max_size=3,
+        )
+    )
+    lo = draw(st.integers(min_value=-(10**7), max_value=10**7))
+    return lo, lo + length - 1, draw(st.permutations(conds))
+
+
+@settings(deadline=None)
+@given(chain_conditions())
+def test_arc_sieve_tiles_chain_conditions(case):
+    # the tiled period starts at lo mod period, lo far from 0 on either side
+    lo, hi, conds = case
+    assert list(arc_sieve(lo, hi, conds)) == oracle_mask(lo, hi, conds)
+
+
+@pytest.mark.parametrize(
+    "conds",
+    [
+        [(1, 4, 1), (1, 6, 1)],  # 6 is not a multiple of the period 4
+        [(2, 9, 1), (1, 27, 2)],  # another numerator on a chain term
+        [(1, 8, 1), (1, 8, 3), (17, 16, 2), (1, 48, 1)],  # a repeated term, p = q + 1
+        [(1, 5, 1), (1, 10, 2), (1, 300, 1)],  # a term past the shorter windows
+    ],
+)
+def test_arc_sieve_tiles_only_the_chain(conds):
+    for lo in (-1000, -1, 0, 7, 10**6 + 3):
+        for length in (1, 10, 48, 300):
+            hi = lo + length - 1
+            assert list(arc_sieve(lo, hi, conds)) == oracle_mask(lo, hi, conds), (lo, length)
+
+
+@st.composite
+def masks(draw):
+    """Zero-one masks of every density, either side of mask_positions'
+    switch between find and compress."""
+    size = draw(st.integers(min_value=0, max_value=3000))
+    density = draw(st.sampled_from((0, 0.001, 0.02, 1 / 13, 1 / 12, 1 / 11, 0.5, 1)))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+    return bytearray(int(rng.random() < density) for _ in range(size))
+
+
+@given(masks(), st.integers(min_value=-(10**7), max_value=10**7))
+def test_mask_positions_matches_compress(mask, start):
+    expected = list(compress(range(start, start + len(mask)), mask))
+    assert list(mask_positions(mask, start)) == expected
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [bytearray(), bytearray(1), bytearray(b"\x01"), bytearray(100), bytearray(b"\x01") * 100,
+     bytearray(b"\x01" + bytes(11)) * 50, bytearray(b"\x01" + bytes(12)) * 50,
+     bytearray(999) + bytearray(b"\x01")],
+)
+def test_mask_positions_on_fixed_masks(mask):
+    for start in (0, 1, -7, 10**12):
+        expected = [start + i for i, v in enumerate(mask) if v]
+        assert list(mask_positions(mask, start)) == expected
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
@@ -499,9 +635,7 @@ def test_arc_sieve_on_arc_edges(level):
         for p in (1, q + 1, -1, 3, 5, 2, q // 2, 0):
             edges = [k for k in range(-2 * q, 2 * q + 1) if (k * p) % q in (r, r + 1, q - r, q - r - 1)]
             for lo, hi in [(k, k) for k in edges] + [(-2 * q, 2 * q)]:
-                expected = [
-                    int(in_arc(canonicalize(Fraction(k * p, q)), level)) for k in range(lo, hi + 1)
-                ]
+                expected = oracle_mask(lo, hi, [(p, q, level)])
                 assert list(arc_sieve(lo, hi, [(p, q, level)])) == expected, (p, q, lo, hi)
 
 
