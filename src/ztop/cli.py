@@ -402,8 +402,14 @@ def _run_dual(settings):
         row["window"] = window
         row["window_ok"] = wcheck.ok
         row["window_failing_k"] = wcheck.failing_k
-        if kernel.continuous_for_linear and isinstance(spec.family, Linear):
-            if spec.family.n >= (kernel.witness_index or 0) and not wcheck.ok:
+        if kernel.continuous_for_linear and not wcheck.ok:
+            # q | b_N puts b_N * Z in the kernel; so does every b_n * Z with
+            # n >= N, and every U_m with 4m > b_N, since U_m lies in b_N * Z
+            if isinstance(spec.family, Linear):
+                inside = spec.family.n >= kernel.witness_index
+            else:
+                inside = 4 * spec.family.m > pivots.term(kernel.witness_index)
+            if inside:
                 status = EXIT_FALSIFIED  # contradicts the kernel containment
     report.add(**row)
     return report, status

@@ -19,17 +19,25 @@ prefix once, decomposes each k once and compares the routes at every level.
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
 condition |k x mod 1| <= 1/(4 level) of the discreteness certificate with
-period the denominator of x. ``iter_members`` and ``discreteness_witness``
-hand these conditions to the ``arc_sieve`` kernel, which strikes out the
-failing residues of a window segment by slice assignment. Since b_n divides
-b_{n+1}, the chain's conditions are periodic mod the last term no longer
-than the segment: the kernel builds that one period, one slice per term,
-and tiles it over the segment. The members are read off the mask by
+period the denominator of x. These conditions go to the ``arc_sieve``
+kernel, which strikes out the failing residues of a window segment by slice
+assignment. Since b_n divides b_{n+1}, the chain's conditions are periodic
+mod the last term no longer than the segment: the kernel builds that one
+period, one slice per term, and tiles it over the segment.
+
+One generator, ``_uniform_segments``, walks the window for the uniform
+family: it sieves segments of at most SIEVE_SEGMENT integers, so memory
+stays bounded whatever the window, grows the chain only as far as each
+segment's end, and cuts the window short where the bit budget refuses a
+term. ``iter_members`` reads the members off its masks with
 ``mask_positions``, which on a sparse mask jumps from one member to the
 next, so the work follows the chain's terms and the members found rather
-than the integers in the window. Segments hold SIEVE_SEGMENT integers at
-most, so memory stays bounded whatever the window, and a consumer that
-stops early stops the sieve with it.
+than the integers in the window; ``duality.continuity_window_check``
+compares its masks with masks that also carry the character's condition.
+A consumer that stops early stops the sieve with it.
+``discreteness_witness`` checks its rational prefix on (numerator,
+denominator) pairs by integer cross-multiplication and sieves its own
+conditions over segments of the same size.
 """
 
 from __future__ import annotations
@@ -184,11 +192,8 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
     """Members of the neighbourhood with |k| <= window, by increasing |k|,
     positive before negative. Deterministic.
 
-    Uniform members come from ``arc_sieve`` over segments of at most
-    SIEVE_SEGMENT positive integers, with one condition (1, b_n, m) per
-    chain term b_n < 4m * (segment end), and are read off its mask with
-    ``mask_positions``; -k is a member exactly when k is.
-    Each segment grows the chain only as far as its own end. When a pivot
+    Uniform members are read with ``mask_positions`` off the masks of
+    ``_uniform_segments``; -k is a member exactly when k is. When a pivot
     term cannot be built (bit budget, invalid chain), the members the
     existing terms decide are still yielded, and the error is raised at the
     first k that needs the missing term, as ``member_direct`` would raise.
@@ -204,9 +209,23 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
             yield -k
             k += b
         return
-    m = spec.family.m
-    pivots = spec.pivots
     yield 0
+    for lo, mask, _ in _uniform_segments(spec.pivots, spec.family.m, window):
+        for k in mask_positions(mask, lo):
+            yield k
+            yield -k
+
+
+def _uniform_segments(pivots: PivotSequence, m: int, window: int):
+    """The level-m uniform sieve over 1..window, one segment at a time:
+    yields (lo, mask, conds) with mask = arc_sieve(lo, hi, conds) for
+    segments of at most SIEVE_SEGMENT integers, conds holding one condition
+    (1, b_n, m) per chain term b_n < 4m * hi.
+
+    Each segment grows the chain only as far as its own end. When a pivot
+    term cannot be built (bit budget, invalid chain), the segment is cut at
+    the last k the existing terms decide, and the next one raises the error.
+    """
     lo = 1
     while lo <= window:
         hi = min(window, lo + SIEVE_SEGMENT - 1)
@@ -218,9 +237,7 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
             if hi < lo:
                 raise
         conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
-        for k in mask_positions(arc_sieve(lo, hi, conds), lo):
-            yield k
-            yield -k
+        yield lo, arc_sieve(lo, hi, conds), conds
         lo = hi + 1
 
 
@@ -255,10 +272,12 @@ def discreteness_witness(
 
     ``xs`` must be strictly decreasing rationals in (0, 1/2] with
     x_i / x_{i+1} <= ratio_bound (violations raise ValueError; the caller
-    asserts the tail keeps decreasing to 0). The multiplier l is minimal
-    with 4 * l * x_1 > 1, and the a-priori containment of the level-m
-    neighbourhood in [-1/(4 x_1), 1/(4 x_1)] means brute_window of about
-    1/(4 x_1) suffices in principle.
+    asserts the tail keeps decreasing to 0); they are checked on the
+    (numerator, denominator) pairs by cross-multiplication, with no
+    rational arithmetic. The multiplier l is minimal with 4 * l * x_1 > 1,
+    and the a-priori containment of the level-m neighbourhood in
+    [-1/(4 x_1), 1/(4 x_1)] means brute_window of about 1/(4 x_1) suffices
+    in principle.
 
     k survives when 4 * level * |k x mod 1| <= 1 for every x in the prefix.
     The window is sieved by ``arc_sieve`` with one condition (numerator,
@@ -266,28 +285,27 @@ def discreteness_witness(
     positive integers, and the survivors are read off its mask with
     ``mask_positions``; -k survives exactly when k does, and 0 always does.
     """
-    xs = [Fraction(x) for x in xs]
+    xs = [x if isinstance(x, Fraction) else Fraction(x) for x in xs]  # Fraction(x) rebuilds x
     if not xs:
         raise ValueError("need a nonempty sequence prefix")
     m = check_positive_int(ratio_bound, "ratio bound")
     check_positive_int(brute_window, "brute-force window")
-    half = Fraction(1, 2)
-    for i, x in enumerate(xs):
-        if not (0 < x <= half):
-            raise ValueError(f"x_{i + 1} = {x} outside (0, 1/2]")
-        if i + 1 < len(xs):
-            if xs[i + 1] >= x:
+    pairs = [(x.numerator, x.denominator) for x in xs]
+    for i, (a, b) in enumerate(pairs):
+        if not (0 < a and 2 * a <= b):
+            raise ValueError(f"x_{i + 1} = {xs[i]} outside (0, 1/2]")
+        if i + 1 < len(pairs):
+            c, d = pairs[i + 1]
+            if c * b >= a * d:
                 raise ValueError(f"sequence not strictly decreasing at index {i + 1}")
-            if x > m * xs[i + 1]:
+            if 0 < c and a * d > m * c * b:  # c <= 0 fails the range test next
                 raise ValueError(
-                    f"ratio x_{i + 1}/x_{i + 2} = {x / xs[i + 1]} exceeds bound {m}"
+                    f"ratio x_{i + 1}/x_{i + 2} = {xs[i] / xs[i + 1]} exceeds bound {m}"
                 )
-    x1 = xs[0]
-    # minimal l with 4*l*x1 > 1
-    inv = Fraction(1, 4) / x1
-    l = inv.numerator // inv.denominator + 1
+    a, b = pairs[0]
+    l = b // (4 * a) + 1  # minimal with 4 * l * x_1 > 1
     level = l * m
-    conds = [(x.numerator, x.denominator, level) for x in xs]
+    conds = [(a, b, level) for a, b in pairs]
     positive = []
     lo = 1
     while lo <= brute_window:

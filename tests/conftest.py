@@ -3,7 +3,7 @@ from hypothesis import settings
 
 from ztop.pivots import MultiplierChain, TwoPowerExponent, make_pivots
 
-settings.register_profile("ci", derandomize=True, max_examples=150)
+settings.register_profile("ci", derandomize=True, max_examples=150, deadline=None)
 settings.load_profile("ci")
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from ztop import acceptance, cli, regressions
 from ztop.cli import main
+from ztop.duality import WindowCheck
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +141,28 @@ def test_dual_report(capsys):
     _, rows = parse_ndjson(out)
     assert not rows[0]["kernel_continuous"]
     assert rows[0]["window_failing_k"] == 32
+
+
+@pytest.mark.parametrize(
+    "family, contradiction, window_ok",
+    [(("--m", "5"), True, True), (("--m", "40"), True, True), (("--m", "4"), False, True),
+     (("--m", "1"), False, False), (("--n", "2"), True, True), (("--n", "3"), True, True),
+     (("--n", "1"), False, False)],
+)
+def test_dual_exits_1_when_the_window_contradicts_the_kernel(capsys, monkeypatch, family,
+                                                             contradiction, window_ok):
+    # 3/16 kills b_2 * Z = 16Z on the square chain, and U_m lies in 16Z once
+    # 4m > 16: a failing window there contradicts the kernel, elsewhere not.
+    # The real check fails only outside 16Z (at k = 2), so the contradiction
+    # is forced with a window check that always fails.
+    status, out, _ = run_cli(capsys, "dual", "--pivots", "square", "--chi", "3/16", *family)
+    assert status == 0
+    assert parse_ndjson(out)[1][0]["window_ok"] == window_ok
+    monkeypatch.setattr(cli, "continuity_window_check", lambda chi, spec, window: WindowCheck(False, 7))
+    status, out, _ = run_cli(capsys, "dual", "--pivots", "square", "--chi", "3/16", *family)
+    assert status == (1 if contradiction else 0)
+    row = parse_ndjson(out)[1][0]
+    assert (row["kernel_witness_index"], row["window_ok"], row["window_failing_k"]) == (2, False, 7)
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -5,8 +5,10 @@ before the window scans moved to the arc sieve (the ``dual``, ``discrete``
 and ``verify-paper`` cases), before the sequence queries shared one witness
 scan (the other ``converge`` and ``blocks`` cases), before ``pivothalf``
 lost its long division (the ``pivothalf`` cases) or before the arc sieve
-tiled the chain's conditions (the ``second-segment`` and ``past-2-16``
-cases). The long-peaks case was
+tiled the chain's conditions (the ``square-second-segment`` and
+``past-2-16`` cases) or before ``continuity_window_check`` found the
+failing k by comparing two sieve masks (``pow2-second-segment``). The
+long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. ``<name>.stderr``, when present, holds its
 error output (absent means none). Any change to a verdict, a survivor list,
@@ -43,6 +45,10 @@ CASES = {
     # chi fails at k = 114,690, in the second sieve segment
     "dual-square-second-segment": (
         ["dual", "--pivots", "square", "--chi", "1/458752", "--m", "1", "--window", "200000"],
+        None, 0),
+    # chi fails at k = 114,688, past the first sieve segment on a dense chain
+    "dual-pow2-second-segment": (
+        ["dual", "--pivots", "pow2", "--chi", "1/327680", "--m", "1", "--window", "200000"],
         None, 0),
     "dual-square-passes": (
         ["dual", "--pivots", "square", "--chi", "1/16", "--m", "1", "--window", "5000"], None, 0),

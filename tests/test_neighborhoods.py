@@ -157,13 +157,21 @@ def test_discreteness_zero_always_survives():
 
 
 def test_discreteness_precondition_violations():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ratio x_1/x_2 = 4 exceeds bound 2$"):
         discreteness_witness([Fraction(1, 2), Fraction(1, 8)], ratio_bound=2, brute_window=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ratio x_2/x_3 = 7/2 exceeds bound 3$"):
+        discreteness_witness([Fraction(1, 3), Fraction(1, 6), Fraction(1, 21)], 3, 10)
+    with pytest.raises(ValueError, match=r"^x_1 = 3/4 outside \(0, 1/2\]$"):
         discreteness_witness([Fraction(3, 4)], ratio_bound=2, brute_window=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^x_2 = 0 outside \(0, 1/2\]$"):
+        discreteness_witness([Fraction(1, 2), 0], ratio_bound=2, brute_window=10)
+    with pytest.raises(ValueError, match=r"^x_1 = -1/4 outside \(0, 1/2\]$"):
+        discreteness_witness([Fraction(-1, 4)], ratio_bound=2, brute_window=10)
+    with pytest.raises(ValueError, match=r"^sequence not strictly decreasing at index 1$"):
         discreteness_witness([Fraction(1, 4), Fraction(1, 2)], ratio_bound=2, brute_window=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^sequence not strictly decreasing at index 2$"):
+        discreteness_witness([Fraction(1, 2), Fraction(1, 4), Fraction(2, 8)], 2, 10)
+    with pytest.raises(ValueError, match=r"^need a nonempty sequence prefix$"):
         discreteness_witness([], ratio_bound=2, brute_window=10)
     halving = [Fraction(1, 2), Fraction(1, 4)]
     for ratio_bound in (2.9, 2.0, True, 0):
@@ -172,3 +180,18 @@ def test_discreteness_precondition_violations():
     for brute_window in (1 / 2, 2.0, True, 0, -3):
         with pytest.raises(ValueError, match="brute-force window"):
             discreteness_witness(halving, ratio_bound=2, brute_window=brute_window)
+
+
+def test_discreteness_preconditions_accept_their_boundaries():
+    # x_1 = 1/2 exactly, and successive ratios exactly equal to the bound
+    w = discreteness_witness([Fraction(1, 2), Fraction(1, 6), Fraction(1, 18)], 3, 20)
+    assert (w.multiplier, w.level) == (1, 3)
+    w = discreteness_witness([Fraction(1, 2)], ratio_bound=1, brute_window=5)
+    assert (w.multiplier, w.level) == (1, 1)
+    # the pairs need not be reduced, and ints and "p/q" text are accepted
+    w = discreteness_witness(["1/3", Fraction(2, 12), "1/12"], 2, 30)
+    assert (w.multiplier, w.level) == (1, 2)
+    # the multiplier is minimal with 4 l x_1 > 1, also when 4 x_1 divides 1
+    assert discreteness_witness([Fraction(1, 4)], 1, 5).multiplier == 2
+    assert discreteness_witness([Fraction(2, 9)], 1, 5).multiplier == 2
+    assert discreteness_witness([Fraction(1, 12)], 1, 5).multiplier == 4

@@ -17,8 +17,10 @@ checked to give the same answer with and without precomputed digits.
 The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, the survivors of ``discreteness_witness`` against
 the per-k loop it used to run, and the first failing k of
-``continuity_window_check``. Some checks shrink the sieve's segment so that
-small windows cross many segment borders. The arc sieve itself is checked on
+``continuity_window_check``, for uniform neighbourhoods against the oracle's
+members and for linear ones against each multiple of b_n. Some checks
+shrink the sieve's segment so that small windows cross many segment
+borders. The arc sieve itself is checked on
 chain-shaped condition lists, whose period it tiles, mixed with conditions it
 must leave to its residue loop; ``mask_positions`` against ``compress`` on
 masks of every density.
@@ -50,6 +52,7 @@ from ztop.decomposition import coefficients_from_digits
 from ztop.duality import character, char_eval, continuity_window_check
 from ztop.neighborhoods import (
     SIEVE_SEGMENT,
+    Linear,
     NeighborhoodSpec,
     Uniform,
     coeff_bound_test,
@@ -659,6 +662,23 @@ def test_continuity_window_check_matches_a_per_member_loop(text, m, chi_pq, wind
     chi = character(Fraction(*chi_pq))
     check = continuity_window_check(chi, NeighborhoodSpec(CHAINS[text], Uniform(m)), window)
     failing = reference_failing_k(chi, text, m, window)
+    assert check == (failing is None, failing)
+
+
+@given(
+    st.sampled_from(sorted(CHAINS)),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=1, max_value=200).flatmap(
+        lambda q: st.tuples(st.integers(min_value=-q, max_value=q), st.just(q))
+    ),
+    st.integers(min_value=0, max_value=WINDOW_MAX),
+)
+def test_continuity_window_check_on_linear_neighbourhoods(text, n, chi_pq, window):
+    # the first failing multiple j b_n, j <= window // b_n, with chi evaluated at each
+    chi = character(Fraction(*chi_pq))
+    b = CHAINS[text].term(n)
+    failing = next((k for k in range(b, window + 1, b) if not in_arc(char_eval(chi, k), 1)), None)
+    check = continuity_window_check(chi, NeighborhoodSpec(CHAINS[text], Linear(n)), window)
     assert check == (failing is None, failing)
 
 
