@@ -32,13 +32,14 @@ def trailing_zeros(x):
     return (x & -x).bit_length() - 1
 
 
-def twos_gcd(a, b):
-    """math.gcd(a, b), with each argument's power of two shifted out first,
-    so that gcd(2^a, 2^b) costs two shifts instead of a long division."""
-    if not a or not b:
-        return abs(a or b)
-    ta, tb = trailing_zeros(a), trailing_zeros(b)
-    return gcd(a >> ta, b >> tb) << min(ta, tb)
+def divides(b, x):
+    """Whether b >= 1 divides x. A power of two masks x's low bits instead of
+    dividing: CPython's long division costs the quotient's size times the
+    divisor's, with no fast path for powers of two, and on a two-power chain
+    a sequence term can hold many times the bits of b_n."""
+    if b & (b - 1):
+        return not x % b
+    return not x & (b - 1)
 
 
 def nearest_int_div(p, q):

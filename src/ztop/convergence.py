@@ -26,9 +26,13 @@ Chain terms reach 10^5-10^6 bits, and CPython divides such integers by
 schoolbook long division, at a cost of the quotient's size times the
 divisor's, with no fast path for powers of two. So no sequence query
 divides where the quotient is large: ``pivothalf`` is a shift and a
-subtraction, and the suffix gcds and the exact ratios (peaks and witness
-points) shift out powers of two before ``math.gcd`` or ``Fraction`` sees
-them.
+subtraction; the linear witness test tests b_n | l_j with ``divides``, a
+mask where b_n is a power of two; the suffix gcds are kept as an odd part
+and a power of two, so ``math.gcd`` sees odd parts only. The exact ratios
+p / q (peaks and witness points) shift out the power of two they share,
+the trailing zeros of p | q, in one shift before ``Fraction`` sees them,
+and a block's peak max |l_j| is max(max(block), -min(block)), so no term
+is copied to negate it.
 
 Block statistics: settle index j_n is the least index from which b_n
 divides every term; block M_n spans [j_n, j_{n+1}) (just {j_n} when the two
@@ -36,7 +40,8 @@ settle indices coincide); the peak S_n is max |l_j| / b_{n+1} over the
 block, kept as an exact rational. Settle indices come from the suffix gcds
 G_j = gcd(l_j, ..., l_horizon): j_n is the least j with b_n | G_j, and since
 b_n | b_{n+1} the j_n never decrease, so one pointer walks G once for all
-levels.
+levels. With G_j = o 2^t and b_n = c 2^e (o and c odd), b_n | G_j is e <= t
+and c | o; on a two-power chain (c = 1) that compares exponents alone.
 
 S_n -> 0 is a sufficient condition for convergence in the uniform
 topology, and the built-in families reproduce the standard counterexamples
@@ -50,8 +55,8 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ztop._kernels import first_arc_exit, trailing_zeros, twos_gcd, wrap_half
-from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform
+from ztop._kernels import first_arc_exit, trailing_zeros, wrap_half
+from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform, member_linear
 from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
 from ztop.torus import TorusPoint, check_level, check_positive_int
 
@@ -174,7 +179,7 @@ def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int):
     for j in range(1, horizon + 1):
         l = eval_sequence(seq, j)
         if isinstance(family, Linear):
-            if l % pivots.term(family.n):
+            if not member_linear(l, pivots, family.n):
                 yield Witness(j, family.n, None)
         elif l:
             terms = pivots.terms_until(4 * family.m * abs(l))
@@ -185,13 +190,11 @@ def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int):
 
 
 def _ratio(p, q):
-    """Fraction(p, q) for q >= 1. The power of two p and q share is shifted
-    out first, so that Fraction's own gcd never divides one large power of
-    two by another."""
-    if p:
-        s = min(trailing_zeros(p), trailing_zeros(q))
-        p, q = p >> s, q >> s
-    return Fraction(p, q)
+    """Fraction(p, q) for q >= 1. The power of two that p and q share, the
+    trailing zeros of p | q, is shifted out first, so that Fraction's own
+    gcd never divides one large power of two by another."""
+    s = trailing_zeros(p | q)
+    return Fraction(p >> s, q >> s)
 
 
 class Verdict(NamedTuple):
@@ -284,11 +287,18 @@ def block_statistics(
     check_positive_int(horizon, "horizon")
     cap = horizon if levels is None else check_positive_int(levels, "levels")
     values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
-    # suffix[s] = gcd(l_{s+1}, ..., l_horizon), and suffix[horizon] = 0: b_n
-    # divides every term from index s + 1 on iff it divides suffix[s]
-    suffix = [0] * (horizon + 1)
+    # suffix[s] = (t, o) with gcd(l_{s+1}, ..., l_horizon) = o * 2^t, o odd,
+    # and o = 0 where that gcd is 0, as at s = horizon. b_n = c * 2^e, c odd,
+    # divides every term from index s + 1 on iff o = 0, or e <= t and c | o
+    suffix = [(0, 0)] * (horizon + 1)
+    t = o = 0
     for i in range(horizon - 1, -1, -1):
-        suffix[i] = twos_gcd(values[i], suffix[i + 1])
+        l = values[i]
+        if l:
+            z = trailing_zeros(l)
+            t = min(t, z) if o else z
+            o = math.gcd(o, l >> z)
+        suffix[i] = (t, o)
     s = 0  # j_n - 1; it never decreases, since b_n divides b_{n+1}
     settle: dict[int, int] = {}
     missing: list[int] = []
@@ -300,8 +310,12 @@ def block_statistics(
         except BitBudgetExceeded as exc:
             note = str(exc)
             break
-        while suffix[s] % b:
+        e = trailing_zeros(b)
+        c = b >> e
+        t, o = suffix[s]
+        while o and (t < e or o % c):
             s += 1
+            t, o = suffix[s]
         if s == horizon:
             missing.append(n)
             break
@@ -318,8 +332,8 @@ def block_statistics(
             if lo > hi:
                 continue
             # n < n_top, and the settle loop has already built b_{n_top}
-            peak = max(abs(values[j - 1]) for j in range(lo, hi + 1))
-            peaks[n] = _ratio(peak, pivots.term(n + 1))
+            block = values[lo - 1 : hi]
+            peaks[n] = _ratio(max(max(block), -min(block)), pivots.term(n + 1))
     return BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
 
 

@@ -50,6 +50,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 from ztop._kernels import (
     arc_sieve,
     decompose_digits,
+    divides,
     mask_positions,
     max_digit_ratio,
     member_direct_scan,
@@ -179,7 +180,7 @@ def member_linear(k: int, pivots: PivotSequence, n: int) -> bool:
     """Whether k lies in the linear neighbourhood b_n * Z."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    return k % pivots.term(n) == 0
+    return divides(pivots.term(n), k)
 
 
 def member(k: int, spec: NeighborhoodSpec) -> bool:

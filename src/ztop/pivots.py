@@ -55,8 +55,12 @@ class TwoPowerExponent:
         if self.form == "pow2":
             return 0 if n == 0 else 1 << n
         if self.form == "poly":
-            # coefficients of n^1..n^d; no constant term, so a_0 = 0
-            return sum(c * n ** (i + 1) for i, c in enumerate(self.coeffs))
+            # coefficients of n^1..n^d, by Horner's rule; no constant term,
+            # so a_0 = 0
+            a = 0
+            for c in reversed(self.coeffs):
+                a = (a + c) * n
+            return a
         raise ValueError(f"unknown exponent form {self.form!r}")
 
     @property

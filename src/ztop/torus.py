@@ -6,7 +6,9 @@ representation and equality is plain rational equality. The nested closed
 arcs [-1/(4m), 1/(4m)] (one per level m >= 1) are the membership targets
 used throughout the neighbourhood and convergence machinery.
 
-No floating point is used anywhere; all comparisons are exact.
+A point is validated on integers: its representative p/q (an int or a
+Fraction, nothing else) must satisfy -q <= 2p < q. No floating point is
+used anywhere; all comparisons are exact.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ztop._kernels import wrap_half
-
-_HALF = Fraction(1, 2)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,8 +42,12 @@ class TorusPoint:
     rep: Fraction
 
     def __post_init__(self):
-        if not (-_HALF <= self.rep < _HALF):
-            raise ValueError(f"representative {self.rep} outside [-1/2, 1/2)")
+        rep = self.rep
+        if type(rep) is not Fraction and type(rep) is not int:
+            raise ValueError(f"representative {rep!r} is not an int or a Fraction")
+        p, q = rep.numerator, rep.denominator
+        if not -q <= p << 1 < q:
+            raise ValueError(f"representative {rep} outside [-1/2, 1/2)")
 
     def __str__(self):
         return rat_str(self.rep)

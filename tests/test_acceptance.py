@@ -5,14 +5,19 @@ defaults. Every test prints one PASS/FAIL line (run with ``pytest -s`` to
 see them on success). The heavyweight membership sweep is computed once and
 shared by criteria 2 and 3.
 
-The guards at the end check that the sweeps behind criteria 1-3 still reach
+The guards after them check that the sweeps behind criteria 1-3 still reach
 every integer: a kernel answer corrupted for one integer must come back as
-exactly one violation that names it.
+exactly one violation that names it. The guards at the end check that
+every other paper check fails, with its detail, when one answer behind it
+is wrong.
 """
+
+import re
+from fractions import Fraction
 
 import pytest
 
-from ztop import acceptance, decomposition, neighborhoods
+from ztop import acceptance, convergence, decomposition, neighborhoods, regressions
 from ztop.pivots import make_pivots
 
 
@@ -190,3 +195,189 @@ def test_membership_sweep_reports_a_corrupted_zero(monkeypatch):
         "; first equivalence: ('linear', 0, 4, False, True)"
         "; first implication: ('linear', 0, 4, True, False, True)"
     )
+
+
+# -- the sequence checks can fail ------------------------------------------------
+# Each guard corrupts one library answer behind a sequence check (an exact
+# ratio, an arc exit, a settle index, a block span, a verdict) and expects
+# the check to fail with the detail that names it.
+
+SQUARE_B4, SQUARE_B5, SQUARE_B6 = 2**16, 2**25, 2**36
+
+
+def on_square(terms):
+    return len(terms) > 2 and terms[2] == 16
+
+
+def corrupt_ratio(monkeypatch, target, answer):
+    """convergence._ratio(p, q) answers ``answer`` at (p, q) == target."""
+    original = convergence._ratio
+    monkeypatch.setattr(
+        convergence, "_ratio", lambda p, q: answer if (p, q) == target else original(p, q)
+    )
+
+
+def drop_arc_exit(monkeypatch, target_l):
+    """first_arc_exit finds no exit for l == target_l over the square chain."""
+    original = convergence.first_arc_exit
+
+    def corrupted(l, terms, m):
+        return None if l == target_l and on_square(terms) else original(l, terms, m)
+
+    monkeypatch.setattr(convergence, "first_arc_exit", corrupted)
+
+
+def corrupt_blockexample_stats(monkeypatch, field, n, value):
+    """block_statistics answers ``value`` for stats.<field>[n] on the block
+    example."""
+    original = acceptance.block_statistics
+
+    def corrupted(seq, pivots, horizon, levels=None):
+        stats = original(seq, pivots, horizon, levels=levels)
+        if seq.family == "blockexample":
+            getattr(stats, field)[n] = value
+        return stats
+
+    monkeypatch.setattr(acceptance, "block_statistics", corrupted)
+
+
+def test_block_closed_forms_reports_a_wrong_geomdiff_peak(monkeypatch):
+    # block 3 of geomdiff over the square chain is {3}, peak (b_4 - b_3) / b_4
+    corrupt_ratio(monkeypatch, (SQUARE_B4 - 2**9, SQUARE_B4), Fraction(1))
+    assert acceptance.block_closed_forms() == (False, "geomdiff block 3: got (3, 3), peak 1")
+
+
+def test_block_closed_forms_reports_a_wrong_blockexample_peak(monkeypatch):
+    # block 4 of the block example is [16, 24]; its peak is l_23 = 2^25 = b_5
+    corrupt_ratio(monkeypatch, (SQUARE_B5, SQUARE_B5), Fraction(1, 2))
+    assert acceptance.block_closed_forms() == (False, "blockexample peak 4: got 1/2")
+
+
+def test_block_closed_forms_reports_a_wrong_settle_index(monkeypatch):
+    corrupt_blockexample_stats(monkeypatch, "settle", 4, 17)
+    assert acceptance.block_closed_forms() == (False, "blockexample settle index 4: got 17")
+
+
+def test_block_closed_forms_reports_a_wrong_block_span(monkeypatch):
+    corrupt_blockexample_stats(monkeypatch, "blocks", 4, (16, 23))
+    assert acceptance.block_closed_forms() == (False, "blockexample block 4: got (16, 23)")
+
+
+def test_block_closed_forms_reports_a_missing_witness(monkeypatch):
+    drop_arc_exit(monkeypatch, 2**8)  # l_8 of the block example
+    assert acceptance.block_closed_forms() == (
+        False, "blockexample witnesses [3, 15, 24, 35, 48] != [3, 8, 15, 24, 35, 48]"
+    )
+
+
+def test_block_closed_forms_reports_a_wrong_verdict(monkeypatch):
+    original = acceptance.prefix_test
+
+    def corrupted(seq, spec, horizon):
+        return original(seq, spec, horizon)._replace(outcome="stabilized")
+
+    monkeypatch.setattr(acceptance, "prefix_test", corrupted)
+    assert acceptance.block_closed_forms() == (False, "blockexample verdict stabilized, expected falsified")
+
+
+def test_linear_separation_reports_a_witness_off_one_half(monkeypatch):
+    # pivothalf's l_5 = b_6 / 2 exits the arc at b_6, at the point -1/2
+    corrupt_ratio(monkeypatch, (-(SQUARE_B6 >> 1), SQUARE_B6), Fraction(1, 4))
+    assert acceptance.linear_separation() == (
+        False,
+        "witness Witness(j=5, n=6, value=TorusPoint(rep=Fraction(1, 4))) "
+        "lacks the level j+1 certificate at one-half",
+    )
+
+
+def test_linear_separation_reports_a_missing_witness(monkeypatch):
+    drop_arc_exit(monkeypatch, SQUARE_B6 >> 1)
+    assert acceptance.linear_separation() == (False, "expected every index to be falsified")
+
+
+def test_linear_separation_reports_a_term_off_its_linear_level(monkeypatch):
+    original = acceptance.member_linear
+    monkeypatch.setattr(
+        acceptance, "member_linear", lambda l, pivots, n: n != 7 and original(l, pivots, n)
+    )
+    assert acceptance.linear_separation() == (False, "pivothalf term 7 not divisible by b_7")
+
+
+def test_two_adic_separation_reports_a_missing_uniform_witness(monkeypatch):
+    drop_arc_exit(monkeypatch, 2**8)  # 2^8 exits at b_3 = 2^9, at -1/2
+    assert acceptance.two_adic_separation() == (
+        False, "uniform witnesses [3, 15, 24, 35, 48] != [3, 8, 15, 24, 35, 48]"
+    )
+
+
+def test_two_adic_separation_reports_a_witness_off_one_half(monkeypatch):
+    corrupt_ratio(monkeypatch, (-(2**8), 2**9), Fraction(1, 4))
+    ok, detail = acceptance.two_adic_separation()
+    assert not ok
+    assert detail.endswith("all at value one-half: False, certifying levels match: True")
+
+
+def test_two_adic_separation_reports_a_wrong_linear_settle_index(monkeypatch):
+    original = acceptance.prefix_test
+
+    def corrupted(seq, spec, horizon):
+        verdict = original(seq, spec, horizon)
+        if spec.family == neighborhoods.Linear(5):
+            return verdict._replace(stabilized_at=6)
+        return verdict
+
+    monkeypatch.setattr(acceptance, "prefix_test", corrupted)
+    assert acceptance.two_adic_separation() == (
+        False, "linear level 5: expected stabilization at 5, got stabilized 6"
+    )
+
+
+def test_convergent_membership_reports_a_lost_member(monkeypatch):
+    square = make_pivots("square")
+    l5 = square.term(6) - square.term(5)  # geomdiff's l_5
+    original = acceptance.member_direct
+    monkeypatch.setattr(
+        acceptance, "member_direct", lambda k, pivots, m: (k, m) != (l5, 3) and original(k, pivots, m)
+    )
+    assert acceptance.convergent_membership() == (False, "geomdiff term 5 not a member at level 3")
+
+
+def corrupt_kernel_check(monkeypatch, q, **fields):
+    """kernel_check answers with ``fields`` replaced for the character 1/q
+    over the square chain; returns the answer it gives there."""
+    original = acceptance.kernel_check
+    square = make_pivots("square")
+    wrong = original(acceptance.character(Fraction(1, q)), square)._replace(**fields)
+
+    def corrupted(chi, pivots):
+        if chi.denominator == q and pivots.text == "square":
+            return wrong
+        return original(chi, pivots)
+
+    monkeypatch.setattr(acceptance, "kernel_check", corrupted)
+    return wrong
+
+
+def test_duality_shadow_reports_a_wrong_verdict(monkeypatch):
+    wrong = corrupt_kernel_check(monkeypatch, 7, continuous_for_linear=True)
+    assert acceptance.duality_shadow(q_max=20) == (False, f"q=7 over square: got {wrong}, oracle False")
+
+
+def test_duality_shadow_reports_a_bad_witness_index(monkeypatch):
+    wrong = corrupt_kernel_check(monkeypatch, 8, witness_index=1)  # b_1 = 2
+    assert acceptance.duality_shadow(q_max=20) == (False, f"q=8 over square: bad witness {wrong}")
+
+
+@pytest.mark.parametrize("route", ["member_partial_sums", "recompose_and_check"])
+def test_spot_checks_report_the_first_failing_sample(monkeypatch, route):
+    if route == "member_partial_sums":
+        original = regressions.member_partial_sums
+        monkeypatch.setattr(regressions, route, lambda k, pivots, m: not original(k, pivots, m))
+        pattern = r"route disagreement at k=-?\d+, m=\d+, chain (square|linear)"
+    else:
+        original = regressions.recompose_and_check
+        monkeypatch.setattr(regressions, route, lambda coeffs: original(coeffs)._replace(sum_ok=False))
+        pattern = r"digit round-trip failed at k=-?\d+, chain (square|linear)"
+    ok, detail = regressions.check_spot_equivalence(samples=5)
+    assert not ok
+    assert re.fullmatch(pattern, detail)

@@ -284,6 +284,20 @@ def test_verify_paper_quick(capsys):
     assert all(r["ok"] for r in rows)
 
 
+def test_verify_paper_exits_1_when_one_row_fails(capsys, monkeypatch):
+    # block-example-falsification runs the same check under its own row
+    table = list(regressions.PAPER_CHECKS)
+    row = [entry[0] for entry in table].index("block-closed-forms")
+    table[row] = ("block-closed-forms", lambda **kwargs: (False, "forced failure"), {})
+    monkeypatch.setattr(regressions, "PAPER_CHECKS", table)
+    status, out, _ = run_cli(capsys, "verify-paper", "--quick")
+    assert status == 1
+    _, rows = parse_ndjson(out)
+    assert [r["check"] for r in rows] == [entry[0] for entry in table] + ["ALL"]
+    failed = [(r["check"], r["detail"]) for r in rows if not r["ok"]]
+    assert failed == [("block-closed-forms", "forced failure"), ("ALL", "every regression and sweep")]
+
+
 def test_missing_option_names_the_flag(capsys):
     # the flags --l and --x store under other names (l_value, xs)
     status, out, err = run_cli(capsys, "decompose", "--pivots", "linear")

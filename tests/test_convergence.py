@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztop._kernels import trailing_zeros, twos_gcd
+from ztop._kernels import divides, trailing_zeros
 from ztop.convergence import (
     FAMILIES,
     BlockStatistics,
@@ -180,7 +180,7 @@ def test_pivothalf_matches_the_division_definition(name):
     assert j > 5  # the factorial chain stops first, at b_7 = 2^5040
 
 
-# -- gcds and ratios with the twos shifted out --------------------------------
+# -- trailing zeros, divisibility and exact ratios ----------------------------
 
 SIGNS = st.sampled_from((1, -1))
 EXPONENTS = st.integers(min_value=0, max_value=3000)
@@ -203,9 +203,10 @@ def test_trailing_zeros_counts_the_power_of_two(x):
     assert x % (1 << e) == 0 and x % (2 << e) != 0
 
 
-@given(VALUES, VALUES)
-def test_twos_gcd_matches_math_gcd(a, b):
-    assert twos_gcd(a, b) == math.gcd(a, b)
+@given(POSITIVE, VALUES)
+def test_divides_matches_the_remainder(b, x):
+    assert divides(b, x) == (x % b == 0)
+    assert divides(b, b * x)
 
 
 @given(VALUES, POSITIVE)
@@ -389,6 +390,34 @@ def test_block_statistics_matches_the_rescan_on_the_families(family, text, horiz
     with mock.patch.dict(os.environ, env):
         pivots = make_pivots(text)
         same_blocks(make_sequence(family, pivots), pivots, horizon, levels)
+
+
+def peak_is_negative(values, lo, hi):
+    """Whether a negative term of the block l_lo..l_hi has the peak |l_j|."""
+    block = values[lo - 1 : hi]
+    return -min(block) > max(block)
+
+
+@pytest.mark.parametrize("text", ["square", "linear", "chain:2,3"])
+@pytest.mark.parametrize("signs", ["mixed", "negative"])
+def test_block_peaks_of_negative_terms_match_the_rescan(text, signs):
+    # every built-in family is non-negative; here l_j = +-(6j + 1) b_r with
+    # r = isqrt(j), and 6j + 1 is prime to 2 and 3, so block r is the 2r + 1
+    # indices [r^2, (r + 1)^2). Mixed signs make l_j negative at odd j, and
+    # so the block's peak, at its last index r^2 + 2r, negative at odd r.
+    pivots = make_pivots(text)
+    values = []
+    for j in range(1, 41):
+        l = (6 * j + 1) * pivots.term(math.isqrt(j))
+        values.append(-l if signs == "negative" or j % 2 else l)
+    seq = make_sequence("custom", pivots, fn=lambda j: values[j - 1])
+    stats = same_blocks(seq, pivots, len(values))
+    negative = [n for n, (lo, hi) in stats.blocks.items() if lo <= hi and peak_is_negative(values, lo, hi)]
+    assert stats.blocks == {0: (1, 0), **{r: (r * r, r * r + 2 * r) for r in range(1, 6)}}
+    assert negative == ([1, 2, 3, 4, 5] if signs == "negative" else [1, 3, 5])
+    for n in negative:
+        lo, hi = stats.blocks[n]
+        assert stats.peaks[n] == Fraction(-min(values[lo - 1 : hi]), pivots.term(n + 1))
 
 
 @pytest.mark.parametrize(

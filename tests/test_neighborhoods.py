@@ -72,11 +72,14 @@ def test_coeff_bound_examples(square):
         coeff_bound_test(coeffs, 1, "both")
 
 
-def test_member_linear_examples(square, linear):
+def test_member_linear_examples(square, linear, chain232):
     assert member_linear(496, square, 2)  # 16 | 496
     assert member_linear(8, linear, 2)  # 4 | 8
     assert not member_linear(5, square, 1)
     assert member_linear(17, square, 0)  # b_0 = 1 divides everything
+    # terms that are no power of two: b_2 = 6, b_3 = 12
+    assert member_linear(-18, chain232, 2) and member_linear(2**70 * 3, chain232, 3)
+    assert not member_linear(8, chain232, 2) and not member_linear(6, chain232, 3)
 
 
 def test_strictness_witness(square):

@@ -51,6 +51,22 @@ def test_polynomial_exponents():
         make_pivots("poly:")
 
 
+@pytest.mark.parametrize("text", ["poly:3,0,1", "poly:1,1", "poly:2,1", "poly:3,1"])
+def test_horner_exponents_equal_the_closed_form(text):
+    descriptor = parse_descriptor(text)
+    for n in range(201):
+        assert descriptor.exponent(n) == sum(c * n ** (i + 1) for i, c in enumerate(descriptor.coeffs))
+
+
+def test_polynomial_exponents_are_refused_lazily_where_they_fall():
+    # a_n = 100n - n^2 rises up to n = 50 (a_50 = 2500), past the probe
+    # prefix, and a_51 = 2499
+    chain = make_pivots("poly:100,-1")
+    assert chain.exponent(50) == 2500
+    with pytest.raises(ValueError, match=r"^exponent form 'poly:100,-1' is not strictly increasing at n=51$"):
+        chain.term(51)
+
+
 def test_descriptor_parsing():
     assert parse_descriptor("square") == TwoPowerExponent("square")
     assert parse_descriptor("chain:2,3,2") == MultiplierChain((2, 3, 2))

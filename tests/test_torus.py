@@ -38,6 +38,22 @@ def test_canonical_range_is_half_open():
         TorusPoint(F("1/2"))
     with pytest.raises(ValueError):
         TorusPoint(F("-3/4"))
+    # a float, a string or a bool is no exact representative, even in range
+    for rep in (0.25, "1/4", False):
+        with pytest.raises(ValueError, match=f"representative {rep!r} is not an int or a Fraction"):
+            TorusPoint(rep)
+    assert TorusPoint(0).rep == 0
+    # the range test is exact at both ends with 10^4-bit denominators: q odd,
+    # so the ends +-1/2 lie between (q - 1) / 2q and (q + 1) / 2q
+    q = 3**6310
+    assert q.bit_length() > 10**4
+    assert TorusPoint(Fraction(-1, 2)).rep == Fraction(-1, 2)
+    assert TorusPoint(Fraction(2**9999, -(2**10000))).rep.denominator == 2
+    for p in (-(q - 1) // 2, (q - 1) // 2):
+        assert TorusPoint(Fraction(p, q)).rep.denominator == q
+    for p in (-(q + 1) // 2, (q + 1) // 2):
+        with pytest.raises(ValueError, match="outside"):
+            TorusPoint(Fraction(p, q))
 
 
 def test_add_examples():
