@@ -72,22 +72,37 @@ def decompose_digits(l, terms, top):
 
     ``top`` is the top index N, minimal with b_N >= |l|; ``terms`` must hold
     the chain prefix [b_0, ..., b_N]. Digit k_n is the nearest integer (ties
-    toward 0) to the running remainder divided by b_n, taken from N
+    toward 0) to the running remainder r divided by b_n, taken from N
     downwards. Trailing zero digits are trimmed; l == 0 gives [].
+
+    The kernel steps from one nonzero digit to the next. A level with
+    2|r| <= b_n rounds to 0 and leaves r as it is, so the next level that
+    matters is the largest b_n < 2|r|, found by bisection below the current
+    level; level 0 takes what is left of r. The digit list is allocated at
+    the first nonzero level, so it needs no trimming.
     """
-    digits = [0] * (top + 1)
+    if not l:
+        return []
     r = l
-    for n in range(top, 0, -1):
+    ar2 = (-r if r < 0 else r) << 1
+    n = top if terms[top] < ar2 else top - 1  # b_{top-1} < |l| < 2|l|
+    digits = [0] * (n + 1)
+    while n > 0:
         b = terms[n]
-        f, rem = divmod(r, b)
-        rem2 = rem << 1
-        if rem2 > b or (rem2 == b and f < 0):
-            f += 1
-        digits[n] = f
-        r -= f * b
+        f = (ar2 + b - 1) // (b << 1)  # round |r|/b_n, ties down
+        if r > 0:
+            r -= f * b
+            digits[n] = f
+        else:
+            r += f * b
+            digits[n] = -f
+        if not r:
+            return digits
+        ar2 = (-r if r < 0 else r) << 1
+        n -= 1
+        if terms[n] >= ar2:
+            n = bisect_left(terms, ar2, 0, n) - 1
     digits[0] = r
-    while digits and digits[-1] == 0:
-        digits.pop()
     return digits
 
 
@@ -96,21 +111,31 @@ def coefficient_checks(digits, terms):
 
     Returns (value, digit_bounds_ok, partial_sum_bounds_ok) where the bounds
     are 2*|k_n|*b_n <= b_{n+1} and 2*|sum_{i<=n} k_i b_i| <= b_{n+1}.
-    ``terms`` must hold at least len(digits)+1 chain terms.
+    ``terms`` must hold at least len(digits)+1 chain terms; a shorter list
+    raises IndexError.
+
+    Both bounds are tested at nonzero digits only. At a zero digit the digit
+    bound reads 0 <= b_{n+1}, and the partial sum is the one of the level
+    before, already held to b_n < b_{n+1}.
     """
+    if len(terms) <= len(digits):
+        raise IndexError(
+            f"{len(digits)} digits need {len(digits) + 1} chain terms, got {len(terms)}"
+        )
     value = 0
     digit_ok = True
     partial_ok = True
-    for n in range(len(digits)):
-        k = digits[n]
-        b1 = terms[n + 1]
-        ak = -k if k < 0 else k
-        if (ak * terms[n]) << 1 > b1:
-            digit_ok = False
-        value += k * terms[n]
-        av = -value if value < 0 else value
-        if av << 1 > b1:
-            partial_ok = False
+    n = 0
+    for k in digits:
+        n += 1
+        if k:
+            kb = k * terms[n - 1]
+            b1 = terms[n]
+            if (-kb if kb < 0 else kb) << 1 > b1:
+                digit_ok = False
+            value += kb
+            if (-value if value < 0 else value) << 1 > b1:
+                partial_ok = False
     return value, digit_ok, partial_ok
 
 
@@ -203,32 +228,31 @@ def member_direct_scan(k, terms, m):
 def member_partial_scan(k, terms, m, digits=None):
     """Membership via the partial-sum criterion on the balanced digits of k.
 
-    k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1; the
-    scan stops at the first b_n >= 4m|k|. From there on every digit rounds
-    to 0, so the partial sum already equals k and later indices pass.
-    ``terms`` must contain a term >= 4m|k|. ``digits``, when given, must be
-    ``decompose_digits`` of k over ``terms``; a caller asking at several
-    levels computes them once.
+    k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1.
+    ``digits``, when given, must be ``decompose_digits`` of k over
+    ``terms``; a caller asking at several levels computes them once.
+
+    The partial sum changes only after a nonzero digit k_s, so the bound is
+    tested at n = s + 1 alone: between two nonzero digits the sum stays put
+    while b_n grows. The last nonzero digit brings the sum to k, and from
+    there on it stays k while b_n grows, so the scan ends there: k belongs
+    iff every test up to b_{s+1} passes, the last being 4m|k| <= b_{s+1}.
+    ``terms`` must reach that b_{s+1}, which a term >= 4m|k| guarantees.
     """
     if k == 0:
         return True
-    ak = -k if k < 0 else k
     if digits is None:
-        digits = decompose_digits(k, terms, bisect_left(terms, ak))
-    nd = len(digits)
-    bound = 4 * m * ak
+        digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
+    m4 = 4 * m
     partial = 0
-    n = 1
-    while True:
-        if n - 1 < nd:
-            partial += digits[n - 1] * terms[n - 1]
-        b = terms[n]
-        ap = -partial if partial < 0 else partial
-        if 4 * m * ap > b:
-            return False
-        if b >= bound:
-            return True
-        n += 1
+    s = 0
+    for d in digits:
+        s += 1
+        if d:
+            partial += d * terms[s - 1]
+            if m4 * (-partial if partial < 0 else partial) > terms[s]:
+                return False
+    return True
 
 
 def mask_positions(mask, start=0):

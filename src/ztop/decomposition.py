@@ -13,21 +13,29 @@ empty digit list and recomposes to 0.
 ``round_trip_failures`` is the exhaustive sweep of criterion 1: it runs the
 kernels behind ``decompose`` and ``recompose_and_check`` over a whole range
 of l with one fetch of the chain prefix.
+
+Both kernels work per nonzero digit, not per chain level. A level whose
+remainder r has 2|r| <= b_n rounds to the digit 0 and leaves r unchanged,
+so the decomposition jumps straight to the largest b_n < 2|r|. A zero digit
+leaves both bounds to the level before it: its own digit bound is
+0 <= b_{n+1}, and its partial sum is the previous one, already held to
+b_n < b_{n+1}.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from ztop._kernels import coefficient_checks, decompose_digits, nearest_int_div
 from ztop.pivots import PivotSequence
+from ztop.torus import exact_rational
 
 
 def nearest_int(q) -> int:
-    """Nearest integer to the rational q; exact half-ties resolve toward zero."""
-    q = Fraction(q)
+    """Nearest integer to the rational q, an int, a Fraction or "p/q" text (a
+    float is refused); exact half-ties resolve toward zero."""
+    q = exact_rational(q, "value")
     return nearest_int_div(q.numerator, q.denominator)
 
 
@@ -113,12 +121,11 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[int]:
     terms = pivots.terms_until(limit, extra=1)
     failures = []
     for l in range(-limit, limit + 1):
-        if l == 0:
-            if not recompose_and_check(decompose(0, pivots)).ok:
-                failures.append(0)
-            continue
-        digits = decompose_digits(l, terms, bisect_left(terms, -l if l < 0 else l))
-        value, digit_ok, partial_ok = coefficient_checks(digits, terms)
-        if value != l or not (digit_ok and partial_ok):
-            failures.append(l)
+        if l:
+            digits = decompose_digits(l, terms, bisect_left(terms, -l if l < 0 else l))
+            value, digit_ok, partial_ok = coefficient_checks(digits, terms)
+            if value != l or not (digit_ok and partial_ok):
+                failures.append(l)
+        elif not recompose_and_check(decompose(0, pivots)).ok:
+            failures.append(0)
     return failures

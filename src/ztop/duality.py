@@ -47,7 +47,8 @@ class Character(NamedTuple):
 
 
 def character(value) -> Character:
-    """Build a character from a rational, "p/q" text, or TorusPoint."""
+    """Build a character from a rational (an int or a Fraction, not a
+    float), "p/q" text, or TorusPoint."""
     if isinstance(value, TorusPoint):
         return Character(value)
     return Character(canonicalize(value))

@@ -15,6 +15,9 @@ tests read one exact pair from the ``max_digit_ratio`` kernel, the largest
 |k_n| b_n / b_{n+1}. ``route_violations`` runs all four routes over a range
 of k and a set of levels on the kernels directly: it fetches the chain
 prefix once, decomposes each k once and compares the routes at every level.
+The partial-sum route tests its bound after each nonzero digit only: a zero
+digit k_s leaves the partial sum as it was, and the larger b_{s+1} then
+holds it within 1/(4m) if b_s did.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -58,7 +61,7 @@ from ztop._kernels import (
 )
 from ztop.decomposition import PivotCoefficients, decompose
 from ztop.pivots import BitBudgetExceeded, PivotSequence
-from ztop.torus import check_level, check_positive_int
+from ztop.torus import check_level, check_positive_int, exact_rational
 
 # Most integers one arc_sieve call covers: a 64 KiB mask.
 SIEVE_SEGMENT = 1 << 16
@@ -153,26 +156,25 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     terms = pivots.terms_until(4 * max(ms, default=1) * limit, extra=1)
     equivalence, implication = [], []
     for k in range(-limit, limit + 1):
-        if k == 0:
-            zero = decompose(0, pivots)
-            routes = [
-                (m, member_direct(0, pivots, m), member_partial_sums(0, pivots, m),
-                 coeff_bound_test(zero, m, "sufficient"), coeff_bound_test(zero, m, "necessary"))
-                for m in ms
-            ]
-        else:
+        if k:
             digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
             num, den = max_digit_ratio(digits, terms)
-            routes = [
-                (m, member_direct_scan(k, terms, m), member_partial_scan(k, terms, m, digits),
-                 8 * m * num <= den, 8 * m * num <= 3 * den)
-                for m in ms
-            ]
-        for m, direct, partial, sufficient, necessary in routes:
-            if direct != partial:
-                equivalence.append((k, m))
-            if (sufficient and not direct) or (direct and not necessary):
-                implication.append((k, m))
+            for m in ms:
+                direct = member_direct_scan(k, terms, m)
+                if direct != member_partial_scan(k, terms, m, digits):
+                    equivalence.append((k, m))
+                # a member must pass the necessary test, a non-member fail the sufficient one
+                if (8 * m * num <= (3 * den if direct else den)) != direct:
+                    implication.append((k, m))
+        else:
+            zero = decompose(0, pivots)
+            for m in ms:
+                direct = member_direct(0, pivots, m)
+                if direct != member_partial_sums(0, pivots, m):
+                    equivalence.append((0, m))
+                mode = "necessary" if direct else "sufficient"
+                if coeff_bound_test(zero, m, mode) != direct:
+                    implication.append((0, m))
     return equivalence, implication
 
 
@@ -271,7 +273,8 @@ def discreteness_witness(
 ) -> DiscretenessWitness:
     """Build and verify the separation certificate for a sequence prefix.
 
-    ``xs`` must be strictly decreasing rationals in (0, 1/2] with
+    ``xs`` must be strictly decreasing rationals (ints, Fractions or "p/q"
+    text, not floats) in (0, 1/2] with
     x_i / x_{i+1} <= ratio_bound (violations raise ValueError; the caller
     asserts the tail keeps decreasing to 0); they are checked on the
     (numerator, denominator) pairs by cross-multiplication, with no
@@ -286,7 +289,10 @@ def discreteness_witness(
     positive integers, and the survivors are read off its mask with
     ``mask_positions``; -k survives exactly when k does, and 0 always does.
     """
-    xs = [x if isinstance(x, Fraction) else Fraction(x) for x in xs]  # Fraction(x) rebuilds x
+    xs = [  # Fraction(x) would rebuild x
+        x if isinstance(x, Fraction) else Fraction(exact_rational(x, f"x_{i + 1} ="))
+        for i, x in enumerate(xs)
+    ]
     if not xs:
         raise ValueError("need a nonempty sequence prefix")
     m = check_positive_int(ratio_bound, "ratio bound")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from ztop import acceptance
 from ztop.decomposition import decompose, recompose_and_check
 from ztop.neighborhoods import coeff_bound_test, member_direct, member_partial_sums
-from ztop.pivots import TwoPowerExponent, make_pivots
+from ztop.pivots import BitBudgetExceeded, TwoPowerExponent, make_pivots
 from ztop.torus import canonicalize, in_arc, int_scale
 
 
@@ -77,7 +77,8 @@ PAPER_CHECKS = [
 def run_paper_checks(seed: int = 0, quick: bool = False):
     """Yields (name, ok, detail) for each row of ``PAPER_CHECKS`` in order,
     at full sizes or, with ``quick``, at the row's quick sizes. A check
-    listed under two names runs once; the spot checks take ``seed``."""
+    listed under two names runs once; the spot checks take ``seed``. A bit
+    budget refusal is raised again with the name of the row that asked."""
     results = {}
     for name, fn, quick_kwargs in PAPER_CHECKS:
         kwargs = dict(quick_kwargs) if quick else {}
@@ -85,6 +86,9 @@ def run_paper_checks(seed: int = 0, quick: bool = False):
             kwargs["seed"] = seed
         key = (fn, tuple(sorted(kwargs.items())))
         if key not in results:
-            results[key] = fn(**kwargs)
+            try:
+                results[key] = fn(**kwargs)
+            except BitBudgetExceeded as exc:
+                raise BitBudgetExceeded(f"check {name}: {exc}") from exc
         ok, detail = results[key]
         yield name, ok, detail

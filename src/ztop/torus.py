@@ -56,13 +56,25 @@ class TorusPoint:
 ZERO = TorusPoint(Fraction(0))
 
 
+def exact_rational(value, what: str):
+    """``value`` if it is an int or a Fraction, parsed if it is "p/q" text. A
+    float is refused rather than converted: its exact value is seldom the
+    number meant (0.1 is 3602879701896397/36028797018963968). Any other type
+    is refused too; ``what`` names the value in the message."""
+    if type(value) is int or isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    raise ValueError(f"{what} {value!r} is not an int, a Fraction or 'p/q' text")
+
+
 def canonicalize(q) -> TorusPoint:
     """The unique point r with r = q (mod 1) and -1/2 <= r < 1/2.
 
-    Accepts Fraction, int, or "p/q" text. Note 1/2 maps to -1/2: the range
-    is half-open on the right.
+    Accepts Fraction, int, or "p/q" text; a float is refused. Note 1/2 maps
+    to -1/2: the range is half-open on the right.
     """
-    q = parse_rational(q) if isinstance(q, str) else Fraction(q)
+    q = exact_rational(q, "circle value")
     return TorusPoint(Fraction(wrap_half(q.numerator, q.denominator), q.denominator))
 
 

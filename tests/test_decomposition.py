@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,13 @@ def test_nearest_int_examples():
     assert nearest_int(Fraction(3, 2)) == 1  # tie between 1 and 2
     assert nearest_int(Fraction(-3, 2)) == -1
     assert nearest_int(7) == 7
+
+
+def test_nearest_int_refuses_floats():
+    for q in (2.5, -0.5, 7.0):
+        with pytest.raises(ValueError, match=re.escape(f"value {q!r} is not an int")):
+            nearest_int(q)
+    assert nearest_int("5/2") == 2 and nearest_int("-7/4") == -2
 
 
 @given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6))

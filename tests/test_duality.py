@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,15 @@ def test_char_eval_examples(square):
     for k in (1, 3, -7):
         chi = character(Fraction(k, square.term(3)))
         assert char_eval(chi, square.term(3)).rep == 0  # kernel identity
+
+
+def test_character_refuses_floats():
+    for value in (0.25, 1e-3):
+        with pytest.raises(ValueError, match=re.escape(f"circle value {value!r} is not an int")):
+            character(value)
+    for value in (Fraction(1, 4), "1/4", "5/4", canonicalize(Fraction(1, 4))):
+        assert character(value).value.rep == Fraction(1, 4)
+    assert character(3).value.rep == 0
 
 
 @given(rationals, st.integers(-200, 200), st.integers(-200, 200))

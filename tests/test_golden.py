@@ -8,7 +8,8 @@ lost its long division (the ``pivothalf`` cases) or before the arc sieve
 tiled the chain's conditions (the ``square-second-segment`` and
 ``past-2-16`` cases) or before ``continuity_window_check`` found the
 failing k by comparing two sieve masks (``pow2-second-segment``). The
-long-peaks case was
+``verify-paper-quick-budget-64`` error was saved when a budget refusal in
+``verify-paper`` learnt to name its check. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. ``<name>.stderr``, when present, holds its
 error output (absent means none). Any change to a verdict, a survivor list,
@@ -29,6 +30,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = {
     "verify-paper-quick-seed0": (["verify-paper", "--quick", "--seed", "0"], None, 0),
     "verify-paper-quick-seed1": (["verify-paper", "--quick", "--seed", "1"], None, 0),
+    # the first row to ask for a term past 64 bits, square's b_8, is named
+    "verify-paper-quick-budget-64": (["verify-paper", "--quick", "--seed", "0"], "64", 2),
     "discrete-halving": (
         ["discrete", "--x", "1/2,1/4,1/8,1/16,1/32,1/64,1/128,1/256,1/512,1/1024",
          "--ratio-bound", "2"], None, 0),

@@ -185,6 +185,15 @@ def test_discreteness_precondition_violations():
             discreteness_witness(halving, ratio_bound=2, brute_window=brute_window)
 
 
+def test_discreteness_refuses_floats():
+    with pytest.raises(ValueError, match=r"^x_1 = 0\.5 is not an int, a Fraction or 'p/q' text$"):
+        discreteness_witness([0.5, 0.25], ratio_bound=2, brute_window=10)
+    with pytest.raises(ValueError, match=r"^x_2 = 0\.25 is not an int"):
+        discreteness_witness([Fraction(1, 2), 0.25], ratio_bound=2, brute_window=10)
+    with pytest.raises(ValueError, match="decimal literals are not exact"):
+        discreteness_witness(["1/2", "0.25"], ratio_bound=2, brute_window=10)
+
+
 def test_discreteness_preconditions_accept_their_boundaries():
     # x_1 = 1/2 exactly, and successive ratios exactly equal to the bound
     w = discreteness_witness([Fraction(1, 2), Fraction(1, 6), Fraction(1, 18)], 3, 20)

@@ -14,6 +14,13 @@ max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
 hand-built digit lists and at the exact bounds. The partial-sum kernel is
 checked to give the same answer with and without precomputed digits.
 
+The three digit kernels step from one nonzero digit to the next; each is
+checked against its per-level form, which rounds and tests at every chain
+level, on nine chains: for every |l| <= 3000, at the ties +-b_n/2 and
++-3b_n/2, at +-b_n and +-(b_n +- 1), on random l up to 10^40, on
+hand-built digit lists whose zeros sit between and after digits that break
+a bound, and on chain prefixes too short for them, where both must raise.
+
 The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, the survivors of ``discreteness_witness`` against
 the per-k loop it used to run, and the first failing k of
@@ -40,6 +47,7 @@ from hypothesis import strategies as st
 from ztop import neighborhoods
 from ztop._kernels import (
     arc_sieve,
+    coefficient_checks,
     decompose_digits,
     first_arc_exit,
     mask_positions,
@@ -371,6 +379,222 @@ def test_member_partial_scan_with_precomputed_digits(case):
     expected = member_partial_scan(k, terms, m)
     assert member_partial_scan(k, terms, m, digits) == expected
     assert expected == (first_arc_exit(k, terms, m) is None)
+
+
+# -- the digit kernels against their per-level forms ---------------------------
+
+
+def per_level_digits(l, terms, top):
+    """``decompose_digits`` one chain level at a time: every level rounds,
+    zero or not, and trailing zeros are trimmed at the end."""
+    digits = [0] * (top + 1)
+    r = l
+    for n in range(top, 0, -1):
+        b = terms[n]
+        f, rem = divmod(r, b)
+        rem2 = rem << 1
+        if rem2 > b or (rem2 == b and f < 0):
+            f += 1
+        digits[n] = f
+        r -= f * b
+    digits[0] = r
+    while digits and digits[-1] == 0:
+        digits.pop()
+    return digits
+
+
+def per_level_checks(digits, terms):
+    """``coefficient_checks`` with both bounds tested at every level."""
+    value = 0
+    digit_ok = True
+    partial_ok = True
+    for n in range(len(digits)):
+        k = digits[n]
+        b1 = terms[n + 1]
+        if (abs(k) * terms[n]) << 1 > b1:
+            digit_ok = False
+        value += k * terms[n]
+        if abs(value) << 1 > b1:
+            partial_ok = False
+    return value, digit_ok, partial_ok
+
+
+def per_level_partial_scan(k, terms, m, digits=None):
+    """``member_partial_scan`` with the partial sum tested at every index
+    n >= 1 up to the first b_n >= 4m|k|."""
+    if k == 0:
+        return True
+    if digits is None:
+        digits = per_level_digits(k, terms, bisect_left(terms, abs(k)))
+    partial = 0
+    n = 1
+    while True:
+        if n - 1 < len(digits):
+            partial += digits[n - 1] * terms[n - 1]
+        if 4 * m * abs(partial) > terms[n]:
+            return False
+        if terms[n] >= 4 * m * abs(k):
+            return True
+        n += 1
+
+
+DIGIT_CHAINS = (
+    "linear", "square", "factorial", "pow2", "poly:1,2",
+    "chain:2,3", "chain:3,5", "chain:7", "chain:5,3,2",
+)
+DIGIT_LEVELS = (1, 2, 3, 8)
+DIGIT_MAX = 10**40
+
+
+@lru_cache(maxsize=None)
+def digit_terms(text):
+    """The chain prefix up to the first term >= 4 * 8 * DIGIT_MAX, plus one."""
+    return make_pivots(text).terms_until(4 * max(DIGIT_LEVELS) * DIGIT_MAX, extra=1)
+
+
+def check_digit_kernels(l, terms):
+    top = bisect_left(terms, abs(l))
+    digits = decompose_digits(l, terms, top)
+    assert digits == per_level_digits(l, terms, top)
+    assert coefficient_checks(digits, terms) == per_level_checks(digits, terms)
+    for m in DIGIT_LEVELS:
+        expected = per_level_partial_scan(l, terms, m)
+        assert member_partial_scan(l, terms, m) == expected
+        assert member_partial_scan(l, terms, m, digits) == expected
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_digit_kernels_match_per_level_on_every_small_l(text):
+    terms = digit_terms(text)
+    for l in range(-3000, 3001):
+        check_digit_kernels(l, terms)
+
+
+def tie_and_term_values(terms):
+    """±b_n/2 and ±3b_n/2 (ties when b_n is even, the integers either side
+    when it is odd), ±b_n and ±(b_n ± 1) for every b_n <= DIGIT_MAX."""
+    values = set()
+    for b in terms:
+        if b > DIGIT_MAX:
+            break
+        for v in (b // 2, (b + 1) // 2, 3 * b // 2, (3 * b + 1) // 2, b - 1, b, b + 1):
+            values.update((v, -v))
+    return sorted(values)
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_digit_kernels_match_per_level_at_ties_and_terms(text):
+    terms = digit_terms(text)
+    for l in tie_and_term_values(terms):
+        check_digit_kernels(l, terms)
+
+
+@given(st.sampled_from(DIGIT_CHAINS), st.integers(min_value=-DIGIT_MAX, max_value=DIGIT_MAX))
+def test_digit_kernels_match_per_level_on_large_l(text, l):
+    check_digit_kernels(l, digit_terms(text))
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_digit_kernels_match_per_level_on_random_l(text):
+    rng = Random(text)
+    terms = digit_terms(text)
+    for _ in range(200):
+        bound = 10 ** rng.randint(4, 40)
+        check_digit_kernels(rng.randint(-bound, bound), terms)
+
+
+def bound_breaking_digit_lists(terms):
+    """Hand-built digit lists with interior and trailing zeros: one digit
+    past its bound b_{n+1} / (2 b_n) with zeros on both sides, and digits
+    each within their bound whose partial sum is not, from two digits at
+    their bound with zeros between them."""
+    lists = []
+    for n in range(1, 5):
+        over = terms[n + 1] // (2 * terms[n]) + 1
+        for gap in range(3):
+            lists.append([0] * n + [over] + [0] * gap)
+            lists.append([0] * n + [-over, 0, 1] + [0] * gap)
+            for lower in range(n):
+                at_bound = [terms[i + 1] // (2 * terms[i]) for i in (lower, n)]
+                digits = [0] * (n + 1) + [0] * gap
+                digits[lower], digits[n] = at_bound
+                lists.append(digits)
+                lists.append([-d for d in digits])
+    return lists
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_coefficient_checks_match_per_level_on_hand_built_digits(text):
+    terms = make_pivots(text).terms(10)
+    seen = set()
+    for digits in bound_breaking_digit_lists(terms):
+        expected = per_level_checks(digits, terms)
+        assert coefficient_checks(digits, terms) == expected
+        seen.add(expected[1:])
+    assert (False, False) in seen
+    # where every b_{n+1} / b_n is odd, digits within their bounds keep
+    # 2|sum_{i<=n} k_i b_i| <= b_{n+1} - 1: the partial sums cannot break alone
+    if any((terms[n + 1] // terms[n]) % 2 == 0 for n in range(5)):
+        assert (True, False) in seen
+
+
+@st.composite
+def zero_rich_digit_lists(draw):
+    """(chain, digits): hand-built digit lists over a chain of DIGIT_CHAINS
+    whose digits are 0, ±1, or at or one past the balance bound
+    b_{n+1} / (2 b_n), with 0 drawn most often."""
+    text = draw(st.sampled_from(DIGIT_CHAINS))
+    terms = digit_terms(text)
+    digits = []
+    for n in range(draw(st.integers(min_value=0, max_value=len(terms) - 1))):
+        bound = terms[n + 1] // (2 * terms[n])
+        choices = (0, 0, 0, 1, -1, bound, -bound, bound + 1, -bound - 1)
+        digits.append(draw(st.sampled_from(choices)))
+    return text, digits
+
+
+@given(zero_rich_digit_lists())
+def test_coefficient_checks_match_per_level_on_drawn_digits(case):
+    text, digits = case
+    terms = digit_terms(text)
+    assert coefficient_checks(digits, terms) == per_level_checks(digits, terms)
+
+
+def outcome(kernel, *args):
+    """What ``kernel(*args)`` returns, or the type of the error it raises."""
+    try:
+        return kernel(*args)
+    except IndexError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_digit_kernels_refuse_a_short_prefix(text):
+    terms = digit_terms(text)
+    for digits in ([1], [1, 0], [0, 0, 1, 0, 0], [1, -1, 0]):
+        short = terms[: len(digits)]
+        assert outcome(coefficient_checks, digits, short) is IndexError
+        assert outcome(per_level_checks, digits, short) is IndexError
+        assert coefficient_checks(digits, short + terms[len(digits) : len(digits) + 1]) == (
+            per_level_checks(digits, terms)
+        )
+    raised = 0
+    for l in tie_and_term_values(terms):
+        if l:
+            top = bisect_left(terms, abs(l))
+            assert outcome(decompose_digits, l, terms[:top], top) is IndexError
+            digits = decompose_digits(l, terms, top)
+            for m in DIGIT_LEVELS:
+                # cut at b_{s+1}, s the last nonzero digit: the scans reach it
+                # on members, and there both must raise
+                short = terms[: len(digits)]
+                got = outcome(member_partial_scan, l, short, m, digits)
+                assert got == outcome(per_level_partial_scan, l, short, m, digits)
+                assert outcome(member_partial_scan, l, short, m) == (
+                    outcome(per_level_partial_scan, l, short, m)
+                )
+                raised += got is IndexError
+    assert raised
 
 
 # -- the window scans ----------------------------------------------------------

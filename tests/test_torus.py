@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -54,6 +56,17 @@ def test_canonical_range_is_half_open():
     for p in (-(q + 1) // 2, (q + 1) // 2):
         with pytest.raises(ValueError, match="outside"):
             TorusPoint(Fraction(p, q))
+
+
+def test_canonicalize_refuses_floats():
+    # a float's exact value is seldom the number meant: 0.1 is
+    # 3602879701896397/36028797018963968, so floats are refused by name
+    for value in (0.1, 0.25, 2.0, Decimal("0.25"), True):
+        with pytest.raises(ValueError, match=re.escape(f"circle value {value!r} is not an int")):
+            canonicalize(value)
+    assert canonicalize(Fraction(1, 10)).rep == Fraction(1, 10)
+    assert canonicalize("-9/4").rep == Fraction(-1, 4)
+    assert canonicalize(-7).rep == 0
 
 
 def test_add_examples():
