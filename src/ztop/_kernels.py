@@ -255,20 +255,21 @@ def member_partial_scan(k, terms, m, digits=None):
     return True
 
 
-def mask_positions(mask, start=0):
-    """The integers start + i with mask[i] == 1, in increasing order, for a
-    mask of zero and one bytes; an iterable, read once.
+def mask_positions(mask, start=0, step=1):
+    """The integers start + i * step with mask[i] == 1, in increasing order
+    for step >= 1, for a mask of zero and one bytes; an iterable, read once.
 
     A sparse mask is walked with ``bytearray.find``, one call per position
     set, so the zeros between them cost no Python step; a dense one, with
     at least one position set in _SPARSE, goes lazily through ``compress``,
     which makes an int for every position but costs less per position than
-    a call to ``find``. Clearing a byte already passed does not disturb the
-    positions still to come.
+    a call to ``find``, and so does every mask with step != 1, which keeps
+    the walk with ``find`` free of multiplications. Clearing a byte already
+    passed does not disturb the positions still to come.
     """
     count = mask.count(1)
-    if count * _SPARSE >= len(mask):
-        return compress(range(start, start + len(mask)), mask)
+    if count * _SPARSE >= len(mask) or step != 1:
+        return compress(range(start, start + len(mask) * step, step), mask)
     out = []
     i = mask.find(1)
     for _ in range(count):

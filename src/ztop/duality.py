@@ -8,11 +8,10 @@ divisibility search along the chain; the same search decides membership in
 the subgroup generated by the chain's unit fractions {1/b_n}. For the
 uniform topology only a finite-window necessary check is available (the
 character must map window members of the neighbourhood into the quarter
-arc); passing it is evidence, not proof, of continuity. On a uniform
-neighbourhood that check does not evaluate the character member by member:
-the character's own condition joins the chain's in the window sieve, and the
-members it strikes out are the ones that fail. On a linear neighbourhood the
-character is evaluated at each multiple of b_n in the window.
+arc); passing it is evidence, not proof, of continuity. That check does
+not evaluate the character member by member, on either family: the
+character's own condition joins the neighbourhood's in the window sieve,
+and the members it strikes out are the ones that fail.
 
 Characters are restricted to rational (torsion) values: every continuous
 character of the studied topologies is torsion, and irrational values admit
@@ -24,8 +23,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Optional
 
-from ztop._kernels import arc_sieve, trailing_zeros, wrap_half
-from ztop.neighborhoods import Linear, NeighborhoodSpec, _uniform_segments, iter_members
+from ztop._kernels import arc_sieve, trailing_zeros
+from ztop.neighborhoods import NeighborhoodSpec, _member_sieve
 from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import TorusPoint, canonicalize, int_scale
 
@@ -152,30 +151,24 @@ def continuity_window_check(
     neighbourhood is infinite. Since |chi(-k)| = |chi(k)|, the first failing
     member is the least failing k > 0.
 
-    A uniform neighbourhood is decided on the ``arc_sieve`` kernel, with no
-    step per member: each segment of ``_uniform_segments`` is sieved a
-    second time with the character's condition (p, q, 1) added to the
-    chain's; the members that fail chi are the bytes where the two masks
-    differ, and the first of them is the lowest set bit of the masks' XOR.
-    The check stops with the first segment that holds a failing member. On
-    a linear neighbourhood chi is evaluated at each member ``iter_members``
-    yields, so the check stops with the first failing multiple of b_n.
+    No step is taken per member. The members k = i * step come from the
+    index masks of ``_member_sieve`` (step 1 or b_n), and each segment is
+    sieved again with chi's condition on i, p * step / q in lowest terms at
+    level 1, which ``arc_sieve`` skips when q divides the step. The members
+    that fail chi are the bytes where the two masks differ, the first of
+    them the lowest set bit of the masks' XOR; the check stops with the
+    first segment that holds one.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
+    step, segments = _member_sieve(spec, window)
     p = chi.value.rep.numerator
     q = chi.value.rep.denominator
-    if isinstance(spec.family, Linear):
-        for k in iter_members(spec, window):
-            t = wrap_half(k * p, q)
-            if t < 0:
-                t = -t
-            if 4 * t > q:
-                return WindowCheck(False, k)
-        return WindowCheck(True, None)
-    for lo, mask, conds in _uniform_segments(spec.pivots, spec.family.m, window):
-        passing = arc_sieve(lo, lo + len(mask) - 1, conds + [(p, q, 1)])
+    g = math.gcd(step, q)
+    chi_cond = (p * (step // g) % (q // g), q // g, 1)
+    for lo, mask, conds in segments:
+        passing = arc_sieve(lo, lo + len(mask) - 1, conds + [chi_cond])
         failing = int.from_bytes(mask, "little") ^ int.from_bytes(passing, "little")
         if failing:  # mask bytes are 0 or 1: byte i is bit 8i
-            return WindowCheck(False, lo + (trailing_zeros(failing) >> 3))
+            return WindowCheck(False, (lo + (trailing_zeros(failing) >> 3)) * step)
     return WindowCheck(True, None)

@@ -28,19 +28,19 @@ assignment. Since b_n divides b_{n+1}, the chain's conditions are periodic
 mod the last term no longer than the segment: the kernel builds that one
 period, one slice per term, and tiles it over the segment.
 
-One generator, ``_uniform_segments``, walks the window for the uniform
-family: it sieves segments of at most SIEVE_SEGMENT integers, so memory
-stays bounded whatever the window, grows the chain only as far as each
-segment's end, and cuts the window short where the bit budget refuses a
-term. ``iter_members`` reads the members off its masks with
-``mask_positions``, which on a sparse mask jumps from one member to the
-next, so the work follows the chain's terms and the members found rather
-than the integers in the window; ``duality.continuity_window_check``
-compares its masks with masks that also carry the character's condition.
-A consumer that stops early stops the sieve with it.
+One generator, ``_segments``, sieves every window in segments of at most
+SIEVE_SEGMENT integers, so memory stays bounded whatever the window, and a
+consumer that stops early stops the sieve with it. ``_member_sieve``
+describes a neighbourhood's window by a step and the masks of the indices
+1..W // step: ``Uniform(m)`` has step 1 and the chain's conditions, grown
+segment by segment and cut where the bit budget refuses a term;
+``Linear(n)`` has step b_n and no condition. ``iter_members`` reads the
+members off the masks with ``mask_positions``, which on a sparse mask jumps
+from one member to the next, and ``duality.continuity_window_check``
+compares the masks with masks that also carry the character's condition.
 ``discreteness_witness`` checks its rational prefix on (numerator,
 denominator) pairs by integer cross-multiplication and sieves its own
-conditions over segments of the same size.
+conditions with the same generator.
 """
 
 from __future__ import annotations
@@ -195,51 +195,58 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
     """Members of the neighbourhood with |k| <= window, by increasing |k|,
     positive before negative. Deterministic.
 
-    Uniform members are read with ``mask_positions`` off the masks of
-    ``_uniform_segments``; -k is a member exactly when k is. When a pivot
-    term cannot be built (bit budget, invalid chain), the members the
-    existing terms decide are still yielded, and the error is raised at the
-    first k that needs the missing term, as ``member_direct`` would raise.
+    The members are read with ``mask_positions`` off the masks of
+    ``_member_sieve``; -k is a member exactly when k is. A b_n that cannot
+    be built raises before 0 is yielded, as in ``member_linear``. When a
+    uniform scan needs such a term (bit budget, invalid chain), the members
+    the existing terms decide are still yielded, and the error is raised at
+    the first k that needs the missing term, as ``member_direct`` would.
     """
     if window < 0:
         raise ValueError("window must be >= 0")
-    if isinstance(spec.family, Linear):
-        b = spec.pivots.term(spec.family.n)
-        yield 0
-        k = b
-        while k <= window:
-            yield k
-            yield -k
-            k += b
-        return
+    step, segments = _member_sieve(spec, window)
     yield 0
-    for lo, mask, _ in _uniform_segments(spec.pivots, spec.family.m, window):
-        for k in mask_positions(mask, lo):
+    for lo, mask, _ in segments:
+        for k in mask_positions(mask, lo * step, step):
             yield k
             yield -k
 
 
-def _uniform_segments(pivots: PivotSequence, m: int, window: int):
-    """The level-m uniform sieve over 1..window, one segment at a time:
-    yields (lo, mask, conds) with mask = arc_sieve(lo, hi, conds) for
-    segments of at most SIEVE_SEGMENT integers, conds holding one condition
-    (1, b_n, m) per chain term b_n < 4m * hi.
+def _member_sieve(spec: NeighborhoodSpec, window: int):
+    """(step, segments): the members 0 < k <= window are the k = i * step
+    whose byte i - lo is set in a mask (lo, mask, conds) of ``segments``, the
+    sieve of 1..window // step. ``Uniform(m)`` has step 1 and one condition
+    (1, b_n, m) per chain term; ``Linear(n)`` has step b_n, built here, and
+    no condition, so every mask is all ones.
+    """
+    if isinstance(spec.family, Uniform):
+        return 1, _segments(window, [], spec.pivots, spec.family.m)
+    step = spec.pivots.term(spec.family.n)
+    return step, _segments(window // step, [])
 
-    Each segment grows the chain only as far as its own end. When a pivot
-    term cannot be built (bit budget, invalid chain), the segment is cut at
-    the last k the existing terms decide, and the next one raises the error.
+
+def _segments(count: int, conds: list, pivots: PivotSequence | None = None, m: int = 1):
+    """The sieve of 1..count in segments of at most SIEVE_SEGMENT integers:
+    yields (lo, mask, conds) with mask = arc_sieve(lo, hi, conds).
+
+    Given ``pivots``, conds is instead one (1, b_n, m) per chain term
+    b_n < 4m * hi, so each segment grows the chain only as far as its end.
+    When a pivot term cannot be built (bit budget, invalid chain), the
+    segment is cut at the last k the existing terms decide, and the next
+    one raises the error.
     """
     lo = 1
-    while lo <= window:
-        hi = min(window, lo + SIEVE_SEGMENT - 1)
-        try:
-            terms = pivots.terms_until(4 * m * hi)
-        except (BitBudgetExceeded, ValueError):
-            terms = pivots.terms_until(1)  # the terms built before the failure
-            hi = terms[-1] // (4 * m)  # the last k those terms decide
-            if hi < lo:
-                raise
-        conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
+    while lo <= count:
+        hi = min(count, lo + SIEVE_SEGMENT - 1)
+        if pivots is not None:
+            try:
+                terms = pivots.terms_until(4 * m * hi)
+            except (BitBudgetExceeded, ValueError):
+                terms = pivots.terms_until(1)  # the terms built before the failure
+                hi = terms[-1] // (4 * m)  # the last k those terms decide
+                if hi < lo:
+                    raise
+            conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
         yield lo, arc_sieve(lo, hi, conds), conds
         lo = hi + 1
 
@@ -284,10 +291,10 @@ def discreteness_witness(
     in principle.
 
     k survives when 4 * level * |k x mod 1| <= 1 for every x in the prefix.
-    The window is sieved by ``arc_sieve`` with one condition (numerator,
-    denominator, level) per x, over segments of at most SIEVE_SEGMENT
-    positive integers, and the survivors are read off its mask with
-    ``mask_positions``; -k survives exactly when k does, and 0 always does.
+    The window is sieved by ``_segments`` with one condition (numerator,
+    denominator, level) per x, and the survivors are read off its masks
+    with ``mask_positions``; -k survives exactly when k does, and 0 always
+    does.
     """
     xs = [  # Fraction(x) would rebuild x
         x if isinstance(x, Fraction) else Fraction(exact_rational(x, f"x_{i + 1} ="))
@@ -314,11 +321,8 @@ def discreteness_witness(
     level = l * m
     conds = [(a, b, level) for a, b in pairs]
     positive = []
-    lo = 1
-    while lo <= brute_window:
-        hi = min(brute_window, lo + SIEVE_SEGMENT - 1)
-        positive += mask_positions(arc_sieve(lo, hi, conds), lo)
-        lo = hi + 1
+    for lo, mask, _ in _segments(brute_window, conds):
+        positive += mask_positions(mask, lo)
     survivors = [-k for k in reversed(positive)] + [0] + positive
     return DiscretenessWitness(
         ratio_bound=m,

@@ -154,7 +154,6 @@ class PivotSequence:
         self.descriptor = descriptor
         self.bit_budget = resolve_bit_budget(bit_budget)
         self._memo: list[int] = [1]
-        self._exps: list[int] | None = [0] if isinstance(descriptor, TwoPowerExponent) else None
         self._lock = threading.Lock()
 
     # -- term access -------------------------------------------------------
@@ -200,14 +199,13 @@ class PivotSequence:
 
     def exponent(self, n: int) -> int | None:
         """a_n for two-power chains (b_n = 2^(a_n)); None otherwise."""
-        if self._exps is None:
+        if not self.is_two_power:
             return None
-        self.term(n)
-        return self._exps[n]
+        return self.term(n).bit_length() - 1
 
     @property
     def is_two_power(self) -> bool:
-        return self._exps is not None
+        return isinstance(self.descriptor, TwoPowerExponent)
 
     def cycle_product(self) -> int | None:
         """Product of one multiplier period, or None when the prime support
@@ -230,7 +228,7 @@ class PivotSequence:
         i = len(self._memo)
         if isinstance(d, TwoPowerExponent):
             a = d.exponent(i)
-            if a <= self._exps[-1]:
+            if a <= self._memo[-1].bit_length() - 1:  # a_{i-1}
                 raise ValueError(
                     f"exponent form {d.text!r} is not strictly increasing at n={i}"
                 )
@@ -238,7 +236,6 @@ class PivotSequence:
                 raise BitBudgetExceeded(
                     f"term b_{i} of {d.text!r} needs {a + 1} bits (budget {self.bit_budget})"
                 )
-            self._exps.append(a)
             self._memo.append(1 << a)
         else:
             mult = d.multiplier(i)

@@ -7,8 +7,10 @@ scan (the other ``converge`` and ``blocks`` cases), before ``pivothalf``
 lost its long division (the ``pivothalf`` cases) or before the arc sieve
 tiled the chain's conditions (the ``square-second-segment`` and
 ``past-2-16`` cases) or before ``continuity_window_check`` found the
-failing k by comparing two sieve masks (``pow2-second-segment``). The
-``verify-paper-quick-budget-64`` error was saved when a budget refusal in
+failing k by comparing two sieve masks (``pow2-second-segment``) or
+before linear windows moved onto the same sieve, with b_n as the step
+between members (``square-linear-second-segment``, ``square-linear-passes``).
+The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 ``verify-paper`` learnt to name its check. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. ``<name>.stderr``, when present, holds its
@@ -52,6 +54,14 @@ CASES = {
     # chi fails at k = 114,688, past the first sieve segment on a dense chain
     "dual-pow2-second-segment": (
         ["dual", "--pivots", "pow2", "--chi", "1/327680", "--m", "1", "--window", "200000"],
+        None, 0),
+    # chi fails at k = 1,120,016 = 70,001 b_2, past the first segment of indices
+    "dual-square-linear-second-segment": (
+        ["dual", "--pivots", "square", "--chi", "1/4480000", "--n", "2", "--window", "1200000"],
+        None, 0),
+    # 16 divides b_2, so chi is trivial on every multiple of b_2
+    "dual-square-linear-passes": (
+        ["dual", "--pivots", "square", "--chi", "1/16", "--n", "2", "--window", "200000"],
         None, 0),
     "dual-square-passes": (
         ["dual", "--pivots", "square", "--chi", "1/16", "--m", "1", "--window", "5000"], None, 0),

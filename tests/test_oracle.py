@@ -22,21 +22,25 @@ hand-built digit lists whose zeros sit between and after digits that break
 a bound, and on chain prefixes too short for them, where both must raise.
 
 The window scans built on the arc sieve are checked here too: the members
-``iter_members`` yields, the survivors of ``discreteness_witness`` against
-the per-k loop it used to run, and the first failing k of
-``continuity_window_check``, for uniform neighbourhoods against the oracle's
-members and for linear ones against each multiple of b_n. Some checks
-shrink the sieve's segment so that small windows cross many segment
-borders. The arc sieve itself is checked on
-chain-shaped condition lists, whose period it tiles, mixed with conditions it
-must leave to its residue loop; ``mask_positions`` against ``compress`` on
-masks of every density.
+``iter_members`` yields, for uniform neighbourhoods against the oracle and
+for linear ones against the multiples of b_n; the survivors of
+``discreteness_witness`` against the per-k loop it used to run; and the
+first failing k of ``continuity_window_check``, for uniform neighbourhoods
+against the oracle's members and for linear ones against chi at each
+multiple of b_n, also for characters whose denominator divides b_n. Some
+checks shrink the sieve's segment so that small windows cross many segment
+borders. The arc sieve itself is checked on chain-shaped condition lists,
+whose period it tiles, mixed with conditions it must leave to its residue
+loop; ``mask_positions`` against ``compress`` on masks of every density,
+with and without a step. Hand-built digit lists stop where the chain's bit
+budget does.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
+from math import gcd
 from random import Random
 from unittest import mock
 
@@ -67,6 +71,7 @@ from ztop.neighborhoods import (
     discreteness_witness,
     iter_members,
     member_direct,
+    member_linear,
     member_partial_sums,
 )
 from ztop.pivots import BitBudgetExceeded, MultiplierFunc, make_pivots
@@ -301,18 +306,40 @@ def check_digit_tests(digits, pivots, m):
         assert coeff_bound_test(coeffs, m, mode) == (oracle_ratio(digits, pivots) <= Fraction(factor, 8 * m))
 
 
+def last_term_in_budget(pivots, limit):
+    """The largest n <= limit whose b_n the chain's bit budget allows."""
+    n = 0
+    while n < limit:
+        try:
+            pivots.term(n + 1)
+        except BitBudgetExceeded:
+            break
+        n += 1
+    return n
+
+
 @st.composite
 def digit_lists(draw):
     """(chain, digits): hand-built digit lists whose digits reach past the
     balance bound b_{n+1} / (2 b_n), some of them 0, plus trailing zeros;
-    the empty list too."""
+    the empty list too. A list of length L is read against b_0..b_L, so L
+    stops where the chain's bit budget does (b_9 on the factorial chain)."""
     text = draw(st.sampled_from(sorted(CHAINS)))
     pivots = CHAINS[text]
+    top = last_term_in_budget(pivots, 13)
     digits = []
-    for n in range(draw(st.integers(min_value=0, max_value=10))):
+    for n in range(draw(st.integers(min_value=0, max_value=min(10, top)))):
         reach = 2 * pivots.term(n + 1) // pivots.term(n) + 2
         digits.append(draw(st.one_of(st.just(0), st.integers(min_value=-reach, max_value=reach))))
-    return text, digits + [0] * draw(st.integers(min_value=0, max_value=3))
+    zeros = draw(st.integers(min_value=0, max_value=min(3, top - len(digits))))
+    return text, digits + [0] * zeros
+
+
+def test_digit_lists_stay_within_the_bit_budget():
+    assert last_term_in_budget(CHAINS["factorial"], 13) == 9  # b_10 needs 3,628,801 bits
+    assert last_term_in_budget(CHAINS["square"], 13) == 13
+    with pytest.raises(BitBudgetExceeded):
+        CHAINS["factorial"].term(10)
 
 
 @given(digit_lists(), st.sampled_from(LEVELS))
@@ -684,6 +711,49 @@ def test_iter_members_across_a_segment_border(text):
     ]
 
 
+def linear_oracle_members(pivots, n, window):
+    """0, then the multiples k of b_n with 0 < k <= window as k, -k."""
+    b = pivots.term(n)
+    return [0] + [j for k in range(1, window + 1) if k % b == 0 for j in (k, -k)]
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(sorted(CHAINS)),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=WINDOW_MAX),
+    st.sampled_from([1, 7, 64, SIEVE_SEGMENT]),
+)
+def test_iter_members_on_linear_neighbourhoods(text, n, window, size):
+    with segment(size):
+        members = list(iter_members(NeighborhoodSpec(CHAINS[text], Linear(n)), window))
+    assert members == linear_oracle_members(CHAINS[text], n, window)
+
+
+@pytest.mark.parametrize("text", sorted(CHAINS))
+def test_iter_members_on_linear_neighbourhoods_across_a_segment_border(text):
+    # b_1 of every chain here is 2 or 3: the window holds SIEVE_SEGMENT + 5
+    # multiples of it, one segment of indices and five past its end
+    pivots = CHAINS[text]
+    b = pivots.term(1)
+    window = b * (SIEVE_SEGMENT + 5) + b - 1
+    members = list(iter_members(NeighborhoodSpec(pivots, Linear(1)), window))
+    assert members == [0] + [j for i in range(1, SIEVE_SEGMENT + 6) for j in (i * b, -i * b)]
+
+
+@pytest.mark.parametrize("window", [0, 10**6])
+def test_iter_members_on_linear_neighbourhoods_refuses_b_n_before_0(window):
+    # b_10 of the factorial chain needs 3,628,801 bits: no member is yielded,
+    # not even 0, and the error is member_linear's
+    members = iter_members(NeighborhoodSpec(CHAINS["factorial"], Linear(10)), window)
+    with pytest.raises(BitBudgetExceeded) as exc:
+        next(members)
+    with pytest.raises(BitBudgetExceeded) as direct:
+        member_linear(0, CHAINS["factorial"], 10)
+    assert str(exc.value) == str(direct.value)
+    assert str(direct.value) == "term b_10 of 'factorial' needs 3628801 bits (budget 1000000)"
+
+
 def reference_survivors(xs, level, window):
     """The per-k loop discreteness_witness ran before the arc sieve."""
     survivors = []
@@ -840,6 +910,12 @@ def test_mask_positions_matches_compress(mask, start):
     assert list(mask_positions(mask, start)) == expected
 
 
+@given(masks(), st.integers(min_value=-(10**7), max_value=10**7), st.integers(min_value=1, max_value=2**70))
+def test_mask_positions_with_a_step(mask, start, step):
+    expected = [start + i * step for i, v in enumerate(mask) if v]
+    assert list(mask_positions(mask, start, step)) == expected
+
+
 @pytest.mark.parametrize(
     "mask",
     [bytearray(), bytearray(1), bytearray(b"\x01"), bytearray(100), bytearray(b"\x01") * 100,
@@ -850,6 +926,9 @@ def test_mask_positions_on_fixed_masks(mask):
     for start in (0, 1, -7, 10**12):
         expected = [start + i for i, v in enumerate(mask) if v]
         assert list(mask_positions(mask, start)) == expected
+        for step in (2, 3, 2**64):
+            expected = [start + i * step for i, v in enumerate(mask) if v]
+            assert list(mask_positions(mask, start, step)) == expected
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
@@ -889,21 +968,43 @@ def test_continuity_window_check_matches_a_per_member_loop(text, m, chi_pq, wind
     assert check == (failing is None, failing)
 
 
+@st.composite
+def linear_characters(draw):
+    """(chain, n, chi): chi = p/q with q up to 200, or with q a divisor of
+    b_n (gcd(b_n, r), or a chain term b_j with j <= n), or such a divisor
+    times 2..5, which may divide b_n or not."""
+    text = draw(st.sampled_from(sorted(CHAINS)))
+    n = draw(st.integers(min_value=0, max_value=7))
+    b = CHAINS[text].term(n)
+    divisor = st.one_of(
+        st.integers(min_value=1, max_value=10**6).map(lambda r: gcd(b, r)),
+        st.integers(min_value=0, max_value=n).map(CHAINS[text].term),
+    )
+    q = draw(st.one_of(
+        st.integers(min_value=1, max_value=200),
+        divisor,
+        st.tuples(divisor, st.integers(min_value=2, max_value=5)).map(lambda t: t[0] * t[1]),
+    ))
+    p = draw(st.one_of(st.integers(min_value=-q, max_value=q), st.integers(min_value=-(10**6), max_value=10**6)))
+    return text, n, character(Fraction(p, q))
+
+
+@settings(deadline=None)
 @given(
-    st.sampled_from(sorted(CHAINS)),
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=1, max_value=200).flatmap(
-        lambda q: st.tuples(st.integers(min_value=-q, max_value=q), st.just(q))
-    ),
+    linear_characters(),
     st.integers(min_value=0, max_value=WINDOW_MAX),
+    st.sampled_from([1, 7, 64, SIEVE_SEGMENT]),
 )
-def test_continuity_window_check_on_linear_neighbourhoods(text, n, chi_pq, window):
+def test_continuity_window_check_on_linear_neighbourhoods(case, window, size):
     # the first failing multiple j b_n, j <= window // b_n, with chi evaluated at each
-    chi = character(Fraction(*chi_pq))
+    text, n, chi = case
     b = CHAINS[text].term(n)
     failing = next((k for k in range(b, window + 1, b) if not in_arc(char_eval(chi, k), 1)), None)
-    check = continuity_window_check(chi, NeighborhoodSpec(CHAINS[text], Linear(n)), window)
+    with segment(size):
+        check = continuity_window_check(chi, NeighborhoodSpec(CHAINS[text], Linear(n)), window)
     assert check == (failing is None, failing)
+    if b % chi.denominator == 0:  # chi kills b_n Z
+        assert check == (True, None)
 
 
 @pytest.mark.parametrize("size", [SIEVE_SEGMENT, 1000])

@@ -65,6 +65,12 @@ def test_polynomial_exponents_are_refused_lazily_where_they_fall():
     assert chain.exponent(50) == 2500
     with pytest.raises(ValueError, match=r"^exponent form 'poly:100,-1' is not strictly increasing at n=51$"):
         chain.term(51)
+    # a_n = 98n - 2n^2 repeats itself: a_24 = a_25 = 1200
+    flat = make_pivots("poly:98,-2")
+    assert flat.exponent(24) == 1200 and flat.is_two_power
+    with pytest.raises(ValueError, match=r"^exponent form 'poly:98,-2' is not strictly increasing at n=25$"):
+        flat.term(25)
+    assert flat.terms_until(1) == [1 << (98 * n - 2 * n * n) for n in range(25)]
 
 
 def test_descriptor_parsing():
