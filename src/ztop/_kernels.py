@@ -1,5 +1,5 @@
-"""Integer kernels for the hot paths: rounding, circle wrapping, balanced
-digit extraction, the largest digit ratio, neighbourhood membership scans
+"""Integer kernels for the hot paths: circle wrapping, balanced digit
+extraction, the largest digit ratio, neighbourhood membership scans
 and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
@@ -40,20 +40,6 @@ def divides(b, x):
     if b & (b - 1):
         return not x % b
     return not x & (b - 1)
-
-
-def nearest_int_div(p, q):
-    """Nearest integer to p/q with q > 0; exact half-ties resolve toward 0.
-
-    Odd symmetry holds: nearest_int_div(-p, q) == -nearest_int_div(p, q).
-    """
-    f, r = divmod(p, q)
-    r2 = r << 1
-    if r2 > q:
-        return f + 1
-    if r2 < q or f >= 0:
-        return f
-    return f + 1
 
 
 def wrap_half(p, q):

@@ -2,8 +2,10 @@
 claims, shared between the test suite and the CLI ``verify-paper`` command.
 
 Every check is exact (zero tolerance); each function returns
-(ok, detail_string). Defaults are the full required sizes; the trimmed
-sizes of ``verify-paper --quick`` live in ``ztop.regressions.PAPER_CHECKS``.
+(ok, detail_string). The sweeps' defaults are the full required sizes;
+the trimmed sizes of ``verify-paper --quick`` live in
+``ztop.regressions.PAPER_CHECKS``. The worked examples (criteria 4-8) have
+one size, fixed in the check.
 
 The exhaustive sweeps of criteria 1-3 run the kernels directly, through
 ``decomposition.round_trip_failures`` and ``neighborhoods.route_violations``:
@@ -45,13 +47,12 @@ from ztop.torus import canonicalize
 HALF_POINT = canonicalize(Fraction(1, 2))  # canonical representative -1/2
 
 
+def _two_power_families():
+    return {name: make_pivots(TwoPowerExponent(name)) for name in ("linear", "square", "factorial")}
+
+
 def _families():
-    return {
-        "linear": make_pivots(TwoPowerExponent("linear")),
-        "square": make_pivots(TwoPowerExponent("square")),
-        "factorial": make_pivots(TwoPowerExponent("factorial")),
-        "chain23": make_pivots(MultiplierChain((2, 3))),
-    }
+    return {**_two_power_families(), "chain23": make_pivots(MultiplierChain((2, 3)))}
 
 
 def decomposition_soundness(limit: int = 10**5):
@@ -78,8 +79,7 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
     implies member implies necessary; strictness = 128 over the square
     chain at m = 1 is a member failing the sufficient test.
     """
-    pivots_by_name = _families()
-    del pivots_by_name["chain23"]
+    pivots_by_name = _two_power_families()
     eq_bad = chain_bad = 0
     first_eq = first_chain = None
     for name, pivots in pivots_by_name.items():
@@ -121,10 +121,11 @@ def membership_routes(limit: int = 10**4):
     return eq_ok and chain_ok and strict_ok, detail
 
 
-def two_adic_separation(horizon: int = 50, n_max: int = 20):
+def two_adic_separation():
     """The doubling sequence 2^j settles in every linear neighbourhood at
     exactly j = n, yet stays falsified for the square chain's uniform
     topology with witnesses exactly {n^2 - 1}, each at circle value 1/2."""
+    horizon, n_max = 50, 20
     linear = make_pivots(TwoPowerExponent("linear"))
     square = make_pivots(TwoPowerExponent("square"))
     seq = make_sequence("pow2")
@@ -146,11 +147,12 @@ def two_adic_separation(horizon: int = 50, n_max: int = 20):
     )
 
 
-def linear_separation(horizon: int = 30):
+def linear_separation():
     """The half-ratio sequence b_j * floor(b_{j+1} / 2 b_j) over the square
     chain lies in every linear neighbourhood at its own index, yet every
     term is certified outside the level-1 uniform neighbourhood at chain
     index j + 1 with circle value exactly 1/2."""
+    horizon = 30
     square = make_pivots(TwoPowerExponent("square"))
     seq = make_sequence("pivothalf", square)
     for j in range(1, horizon + 1):
@@ -165,10 +167,11 @@ def linear_separation(horizon: int = 30):
     return True, f"all {horizon} terms divisible at their own index and falsified at j+1 with value 1/2"
 
 
-def discreteness(window: int = 100, prefix_len: int = 12):
-    """For the halving sequence 2^-n the computed separation level is 2 and
-    the brute-force window retains only k = 0."""
-    xs = [Fraction(1, 2**n) for n in range(1, prefix_len + 1)]
+def discreteness():
+    """For the halving sequence 2^-n (n <= 12) the computed separation level
+    is 2 and the brute-force window retains only k = 0."""
+    window = 100
+    xs = [Fraction(1, 2**n) for n in range(1, 13)]
     w = discreteness_witness(xs, ratio_bound=2, brute_window=window)
     ok = w.multiplier == 1 and w.level == 2 and w.verified and w.survivors == (0,)
     return ok, (
@@ -177,9 +180,10 @@ def discreteness(window: int = 100, prefix_len: int = 12):
     )
 
 
-def convergent_membership(m_max: int = 6, span: int = 20):
+def convergent_membership():
     """Terms of the geometric-difference sequence over the square chain are
     uniform members at level m from index m on (checked on [m, m + span])."""
+    m_max, span = 6, 20
     square = make_pivots(TwoPowerExponent("square"))
     seq = make_sequence("geomdiff", square)
     for m in range(1, m_max + 1):
@@ -189,10 +193,11 @@ def convergent_membership(m_max: int = 6, span: int = 20):
     return True, f"membership holds for m <= {m_max}, j in [m, m+{span}]"
 
 
-def block_closed_forms(n_max: int = 10):
+def block_closed_forms():
     """Peak ratios: (2^(2n+1) - 1) / 2^(2n+1) for the geometric-difference
     sequence and exactly 1 for the block example, plus the block example's
     level-1 falsification with witnesses {n^2 - 1}."""
+    n_max = 10
     square = make_pivots(TwoPowerExponent("square"))
     geom = make_sequence("geomdiff", square)
     stats = block_statistics(geom, square, horizon=n_max + 2)

@@ -33,7 +33,7 @@ from ztop.convergence import (
     prefix_test,
 )
 from ztop.decomposition import decompose, recompose_and_check
-from ztop.duality import character, continuity_window_check, generated_member, kernel_check
+from ztop.duality import CERT_BUDGET, character, continuity_window_check, kernel_check
 from ztop.neighborhoods import (
     Linear,
     NeighborhoodSpec,
@@ -380,10 +380,9 @@ def _run_dual(settings):
     chi = character(parse_rational(str(settings.get("chi", required=True))))
     report = Report("dual", settings.echo())
     kernel = kernel_check(chi, pivots)
-    try:
-        generated = generated_member(chi.value, pivots)
-    except BitBudgetExceeded:
-        generated = None
+    # generated_member(chi.value, pivots) runs the same search; it raises
+    # exactly when this one ends without a certificate
+    generated = None if kernel.certificate == CERT_BUDGET else kernel.continuous_for_linear
     row = {
         "chi": rat_str(chi.value.rep),
         "pivots": pivots.text,

@@ -265,10 +265,6 @@ class BlockStatistics(NamedTuple):
     horizon: int
     note: str = ""
 
-    def block_indices(self, n: int) -> range:
-        lo, hi = self.blocks[n]
-        return range(lo, hi + 1)
-
 
 def block_statistics(
     seq: IntegerSequence,

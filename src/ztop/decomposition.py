@@ -27,16 +27,19 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from ztop._kernels import coefficient_checks, decompose_digits, nearest_int_div
+from ztop._kernels import coefficient_checks, decompose_digits
 from ztop.pivots import PivotSequence
 from ztop.torus import exact_rational
 
 
 def nearest_int(q) -> int:
     """Nearest integer to the rational q, an int, a Fraction or "p/q" text (a
-    float is refused); exact half-ties resolve toward zero."""
+    float is refused); exact half-ties resolve toward zero. |q| is rounded
+    as ``decompose_digits`` rounds a digit, with one floor division."""
     q = exact_rational(q, "value")
-    return nearest_int_div(q.numerator, q.denominator)
+    p, d = q.numerator, q.denominator
+    f = ((-p if p < 0 else p) * 2 + d - 1) // (d * 2)
+    return -f if p < 0 else f
 
 
 class PivotCoefficients(NamedTuple):

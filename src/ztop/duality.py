@@ -84,15 +84,16 @@ def _support_covers(q: int, cycle_product: int) -> bool:
     return True
 
 
-def _denominator_divides(q: int, pivots: PivotSequence, max_terms: int):
-    """Least n with q | b_n, else a (False, None, certificate) verdict."""
+def _denominator_divides(q: int, pivots: PivotSequence):
+    """Least n <= DEFAULT_SCAN_TERMS with q | b_n, else a (False, None,
+    certificate) verdict."""
     if q == 1:
         return True, 0, CERT_DIVISOR
     cp = pivots.cycle_product()
     if cp is not None and not _support_covers(q, cp):
         return False, None, CERT_PRIME_SUPPORT
     n = 0
-    while n <= max_terms:
+    while n <= DEFAULT_SCAN_TERMS:
         try:
             b = pivots.term(n)
         except BitBudgetExceeded:
@@ -103,31 +104,28 @@ def _denominator_divides(q: int, pivots: PivotSequence, max_terms: int):
     return False, None, CERT_BUDGET
 
 
-def kernel_check(
-    chi: Character, pivots: PivotSequence, max_terms: int = DEFAULT_SCAN_TERMS
-) -> KernelCheck:
+def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
     """Decide whether chi is continuous for the linear chain topology.
 
     That holds exactly when the reduced denominator of chi(1) divides some
     chain term; the least such index is returned (its subgroup lies in the
     kernel of chi). Negatives certified through the prime support are
-    definitive; budget-exhausted negatives are inconclusive.
+    definitive; budget-exhausted negatives (no divisor up to
+    b_DEFAULT_SCAN_TERMS, or a term over the bit budget) are inconclusive.
     """
-    found, n, cert = _denominator_divides(chi.denominator, pivots, max_terms)
+    found, n, cert = _denominator_divides(chi.denominator, pivots)
     return KernelCheck(found, n, cert)
 
 
-def generated_member(
-    x: TorusPoint, pivots: PivotSequence, max_terms: int = DEFAULT_SCAN_TERMS
-) -> bool:
+def generated_member(x: TorusPoint, pivots: PivotSequence) -> bool:
     """Whether x lies in the subgroup of the circle generated by the chain's
     unit fractions {1/b_n}; for divisibility chains this means the reduced
-    denominator of x divides some b_n.
+    denominator of x divides some b_n: ``kernel_check``'s search.
 
     Raises BitBudgetExceeded when the search is inconclusive (no divisor
     found, no prime-support certificate available).
     """
-    found, _, cert = _denominator_divides(x.rep.denominator, pivots, max_terms)
+    found, _, cert = _denominator_divides(x.rep.denominator, pivots)
     if not found and cert == CERT_BUDGET:
         raise BitBudgetExceeded(
             f"no chain term divisible by {x.rep.denominator} within budget"
@@ -157,10 +155,9 @@ def continuity_window_check(
     level 1, which ``arc_sieve`` skips when q divides the step. The members
     that fail chi are the bytes where the two masks differ, the first of
     them the lowest set bit of the masks' XOR; the check stops with the
-    first segment that holds one.
+    first segment that holds one. A window that is not an int >= 0 raises
+    ValueError.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
     step, segments = _member_sieve(spec, window)
     p = chi.value.rep.numerator
     q = chi.value.rep.denominator

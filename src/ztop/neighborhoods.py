@@ -61,7 +61,7 @@ from ztop._kernels import (
 )
 from ztop.decomposition import PivotCoefficients, decompose
 from ztop.pivots import BitBudgetExceeded, PivotSequence
-from ztop.torus import check_level, check_positive_int, exact_rational
+from ztop.torus import check_level, check_nonnegative_int, check_positive_int, exact_rational
 
 # Most integers one arc_sieve call covers: a 64 KiB mask.
 SIEVE_SEGMENT = 1 << 16
@@ -84,8 +84,7 @@ class Linear:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("linear neighbourhood index must be >= 0")
+        check_nonnegative_int(self.n, "linear neighbourhood index")
 
 
 Family = Union[Uniform, Linear]
@@ -180,9 +179,7 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
 
 def member_linear(k: int, pivots: PivotSequence, n: int) -> bool:
     """Whether k lies in the linear neighbourhood b_n * Z."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    return divides(pivots.term(n), k)
+    return divides(pivots.term(check_nonnegative_int(n, "linear neighbourhood index")), k)
 
 
 def member(k: int, spec: NeighborhoodSpec) -> bool:
@@ -202,8 +199,6 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
     the existing terms decide are still yielded, and the error is raised at
     the first k that needs the missing term, as ``member_direct`` would.
     """
-    if window < 0:
-        raise ValueError("window must be >= 0")
     step, segments = _member_sieve(spec, window)
     yield 0
     for lo, mask, _ in segments:
@@ -217,8 +212,10 @@ def _member_sieve(spec: NeighborhoodSpec, window: int):
     whose byte i - lo is set in a mask (lo, mask, conds) of ``segments``, the
     sieve of 1..window // step. ``Uniform(m)`` has step 1 and one condition
     (1, b_n, m) per chain term; ``Linear(n)`` has step b_n, built here, and
-    no condition, so every mask is all ones.
+    no condition, so every mask is all ones. A window that is not an int
+    >= 0 raises ValueError.
     """
+    check_nonnegative_int(window, "window")
     if isinstance(spec.family, Uniform):
         return 1, _segments(window, [], spec.pivots, spec.family.m)
     step = spec.pivots.term(spec.family.n)

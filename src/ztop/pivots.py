@@ -116,13 +116,14 @@ def parse_descriptor(text: str) -> PivotDescriptor:
     text = text.strip()
     if text in ("linear", "square", "factorial", "pow2"):
         return TwoPowerExponent(text)
-    if text.startswith("poly:"):
-        coeffs = tuple(int(c) for c in text[5:].split(","))
-        return TwoPowerExponent("poly", coeffs)
-    if text.startswith("chain:"):
-        mults = tuple(int(m) for m in text[6:].split(","))
-        return MultiplierChain(mults)
-    raise ValueError(f"unknown pivot descriptor {text!r}")
+    kind, colon, args = text.partition(":")
+    if not colon or kind not in ("poly", "chain"):
+        raise ValueError(f"unknown pivot descriptor {text!r}")
+    try:
+        ints = tuple(int(a) for a in args.split(","))
+    except ValueError:
+        raise ValueError(f"pivot descriptor {text!r} needs comma-separated integers") from None
+    return TwoPowerExponent("poly", ints) if kind == "poly" else MultiplierChain(ints)
 
 
 def resolve_bit_budget(bit_budget: int | None = None) -> int:
@@ -253,8 +254,8 @@ class PivotSequence:
 def make_pivots(descriptor: PivotDescriptor | str, bit_budget: int | None = None) -> PivotSequence:
     """Build and sanity-check a pivot sequence from a descriptor or its text form.
 
-    Rejects exponent forms that do not start at 0 or fail to increase over a
-    probe prefix; the monotonicity of polynomial forms is additionally
+    Rejects exponent forms that fail to increase over a probe prefix (every
+    form starts at a_0 = 0); the monotonicity of polynomial forms is additionally
     enforced lazily at every term evaluation.
     """
     if isinstance(descriptor, str):
@@ -265,8 +266,6 @@ def make_pivots(descriptor: PivotDescriptor | str, bit_budget: int | None = None
         if descriptor.form == "poly" and not descriptor.coeffs:
             raise ValueError("polynomial exponent form needs at least one coefficient")
         probe = [descriptor.exponent(n) for n in range(9)]
-        if probe[0] != 0:
-            raise ValueError(f"exponent form must satisfy a_0 = 0, got a_0 = {probe[0]}")
         for n in range(8):
             if probe[n + 1] <= probe[n]:
                 raise ValueError(

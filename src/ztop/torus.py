@@ -53,9 +53,6 @@ class TorusPoint:
         return rat_str(self.rep)
 
 
-ZERO = TorusPoint(Fraction(0))
-
-
 def exact_rational(value, what: str):
     """``value`` if it is an int or a Fraction, parsed if it is "p/q" text. A
     float is refused rather than converted: its exact value is seldom the
@@ -93,6 +90,14 @@ def check_positive_int(value, what: str) -> int:
     refused rather than truncated."""
     if type(value) is not int or value < 1:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def check_nonnegative_int(value, what: str) -> int:
+    """``value`` if it is an int >= 0, refused as ``check_positive_int``
+    refuses: a chain index or a window."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
     return value
 
 

@@ -1,9 +1,9 @@
 """Acceptance suite: the nine exit criteria, each exact (zero tolerance).
 
-Every check runs at its full sizes, which are the acceptance functions'
-defaults. Every test prints one PASS/FAIL line (run with ``pytest -s`` to
-see them on success). The heavyweight membership sweep is computed once and
-shared by criteria 2 and 3.
+Every check runs at its full sizes: the sweeps' defaults, and the one
+size of each worked example. Every test prints one PASS/FAIL line (run
+with ``pytest -s`` to see them on success). The heavyweight membership
+sweep is computed once and shared by criteria 2 and 3.
 
 The guards after them check that the sweeps behind criteria 1-3 still reach
 every integer: a kernel answer corrupted for one integer must come back as
@@ -12,6 +12,7 @@ every other paper check fails, with its detail, when one answer behind it
 is wrong.
 """
 
+import inspect
 import re
 from fractions import Fraction
 
@@ -381,3 +382,13 @@ def test_spot_checks_report_the_first_failing_sample(monkeypatch, route):
     ok, detail = regressions.check_spot_equivalence(samples=5)
     assert not ok
     assert re.fullmatch(pattern, detail)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [acceptance.two_adic_separation, acceptance.linear_separation, acceptance.discreteness,
+     acceptance.convergent_membership, acceptance.block_closed_forms],
+)
+def test_worked_examples_have_one_size(check):
+    # no caller varies these sizes: they are constants of the check
+    assert not inspect.signature(check).parameters

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ztop import acceptance, cli, regressions
+from ztop import acceptance, cli, duality, regressions
 from ztop.cli import main
 from ztop.duality import WindowCheck
 
@@ -141,6 +141,26 @@ def test_dual_report(capsys):
     _, rows = parse_ndjson(out)
     assert not rows[0]["kernel_continuous"]
     assert rows[0]["window_failing_k"] == 32
+
+
+@pytest.mark.parametrize(
+    "pivots, chi, budget, generated",
+    [("square", "3/16", None, True), ("factorial", "1/7", None, False),
+     ("linear", f"1/{2**600}", None, None),  # no divisor among b_0..b_512
+     ("linear", "1/1024", "8", None)],  # the bit budget refuses b_8 = 2^8
+    ids=["divisor", "prime-support", "scan-limit", "bit-budget"],
+)
+def test_dual_searches_the_chain_once(capsys, monkeypatch, pivots, chi, budget, generated):
+    # generated_member is the kernel check's search again; the row reads it
+    # off the one search, None where that search ends without a certificate
+    if budget is not None:
+        monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
+    calls = []
+    search = duality._denominator_divides
+    monkeypatch.setattr(duality, "_denominator_divides", lambda *args: calls.append(args) or search(*args))
+    status, out, _ = run_cli(capsys, "dual", "--pivots", pivots, "--chi", chi)
+    assert (status, len(calls)) == (0, 1)
+    assert parse_ndjson(out)[1][0]["generated_member"] is generated
 
 
 @pytest.mark.parametrize(
@@ -296,6 +316,12 @@ def test_verify_paper_exits_1_when_one_row_fails(capsys, monkeypatch):
     assert [r["check"] for r in rows] == [entry[0] for entry in table] + ["ALL"]
     failed = [(r["check"], r["detail"]) for r in rows if not r["ok"]]
     assert failed == [("block-closed-forms", "forced failure"), ("ALL", "every regression and sweep")]
+
+
+def test_malformed_chain_descriptor_names_itself(capsys):
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "chain:2,x", "--l", "5")
+    assert (status, out) == (2, "")
+    assert err == "ztop: pivot descriptor 'chain:2,x' needs comma-separated integers\n"
 
 
 def test_missing_option_names_the_flag(capsys):

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -40,6 +41,13 @@ def test_nearest_int_oddness(q):
     assert nearest_int(-q) == -nearest_int(q)
     assert abs(nearest_int(q)) == nearest_int(abs(q))
     assert abs(q - nearest_int(q)) <= Fraction(1, 2)
+    # the definition: the nearer of floor and ceil, a tie toward zero
+    lo, hi = math.floor(q), math.ceil(q)
+    if q - lo != hi - q:
+        expected = lo if q - lo < hi - q else hi
+    else:
+        expected = lo if lo >= 0 else hi
+    assert nearest_int(q) == expected
 
 
 def test_decompose_examples(square, linear):

@@ -1,3 +1,4 @@
+import inspect
 import re
 from fractions import Fraction
 
@@ -102,6 +103,18 @@ def test_continuity_window_examples(square, linear):
 
     check = continuity_window_check(character("0/1"), NeighborhoodSpec(square, Uniform(4)), 100)
     assert check.ok
+
+
+@pytest.mark.parametrize("window", [-1, True, 10.0, 10.5])
+@pytest.mark.parametrize("family", [Uniform(1), Linear(1)])
+def test_continuity_window_check_window_must_be_an_int(square, family, window):
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer >= 0, got {window!r}")):
+        continuity_window_check(character("1/3"), NeighborhoodSpec(square, family), window)
+
+
+def test_scan_limit_is_a_constant():
+    assert list(inspect.signature(kernel_check).parameters) == ["chi", "pivots"]
+    assert list(inspect.signature(generated_member).parameters) == ["x", "pivots"]
 
 
 def test_kernel_implies_window_for_linear(square):

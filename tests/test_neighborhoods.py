@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,22 @@ def test_spec_dispatch_and_member_iteration(square):
     assert top[0] == 0
     assert all(member_direct(k, square, 1) for k in top)
     assert 1 not in top
+
+
+@pytest.mark.parametrize("n", [-1, True, False, 2.0, 1.5, "2"])
+def test_linear_index_must_be_an_int(square, n):
+    message = re.escape(f"linear neighbourhood index must be an integer >= 0, got {n!r}")
+    with pytest.raises(ValueError, match=message):
+        Linear(n)
+    with pytest.raises(ValueError, match=message):
+        member_linear(8, square, n)
+
+
+@pytest.mark.parametrize("window", [-1, True, False, 10.0, 10.5, "10"])
+@pytest.mark.parametrize("family", [Uniform(1), Linear(1)])
+def test_iter_members_window_must_be_an_int(square, family, window):
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer >= 0, got {window!r}")):
+        list(iter_members(NeighborhoodSpec(square, family), window))
 
 
 def test_discreteness_halving():

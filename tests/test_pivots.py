@@ -1,3 +1,4 @@
+import re
 import threading
 
 import pytest
@@ -83,6 +84,14 @@ def test_descriptor_parsing():
         make_pivots(MultiplierChain((2, 1)))
     with pytest.raises(ValueError):
         make_pivots(MultiplierChain(()))
+
+
+@pytest.mark.parametrize("text", ["chain:", "poly:", "poly:a", "chain:2,x", "chain:2,,3", "poly:1.5"])
+def test_malformed_descriptor_names_itself(text):
+    with pytest.raises(ValueError, match=re.escape(f"pivot descriptor {text!r} needs comma-separated integers")):
+        parse_descriptor(text)
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        make_pivots(text)
 
 
 def test_descriptor_text_round_trip():

@@ -11,6 +11,7 @@ from ztop.torus import (
     add,
     canonicalize,
     check_level,
+    check_nonnegative_int,
     in_arc,
     int_scale,
     parse_rational,
@@ -96,6 +97,11 @@ def test_check_level_rejects_non_levels(level):
     with pytest.raises(ValueError):
         check_level(level)
 
+
+@pytest.mark.parametrize("value", [-1, True, False, 0.0, 2.0, 2.5, "1", None])
+def test_check_nonnegative_int_rejects_non_indices(value):
+    with pytest.raises(ValueError, match=re.escape(f"index must be an integer >= 0, got {value!r}")):
+        check_nonnegative_int(value, "index")
 
 @given(rationals)
 def test_canonicalize_idempotent(q):
