@@ -52,14 +52,9 @@ from ztop.pivots import (
     MultiplierChain,
     MultiplierFunc,
     PivotSequence,
-    PrefixValidation,
     TwoPowerExponent,
-    exponent_gaps,
-    gaps_strictly_increasing,
-    has_min_exponent_gap,
     make_pivots,
     parse_descriptor,
-    validate_prefix,
 )
 from ztop.torus import TorusPoint, add, canonicalize, in_arc, int_scale, parse_rational, rat_str
 
@@ -83,14 +78,9 @@ __all__ = [
     "MultiplierChain",
     "MultiplierFunc",
     "PivotSequence",
-    "PrefixValidation",
     "BitBudgetExceeded",
     "make_pivots",
     "parse_descriptor",
-    "validate_prefix",
-    "exponent_gaps",
-    "has_min_exponent_gap",
-    "gaps_strictly_increasing",
     # decomposition
     "PivotCoefficients",
     "CoefficientCheck",

@@ -186,7 +186,8 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("verify-paper", help="run every built-in regression and acceptance sweep")
-    p.add_argument("--quick", action="store_true", help="trim the exhaustive sweep sizes")
+    # default None, so that a config file's "quick" is read when the flag is absent
+    p.add_argument("--quick", action="store_true", default=None, help="trim the exhaustive sweep sizes")
     common(p)
     # subcommand -> {dest: flag}; messages name the flag, which is not always the dest
     flags = {
@@ -419,7 +420,9 @@ ACCEPTANCE_SWEEPS = regressions.PAPER_CHECKS
 
 
 def _run_verify(settings):
-    quick = bool(settings.get("quick", False))
+    quick = settings.get("quick", False)
+    if type(quick) is not bool:
+        raise ValueError(f"option --quick must be true or false, got {quick!r}")
     seed = settings.get("seed", 0, integer=True)
     report = Report("verify-paper", {"quick": quick, "seed": seed})
     all_ok = True

@@ -24,7 +24,7 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, Union
 
 from ztop.torus import check_positive_int
 
@@ -198,16 +198,6 @@ class PivotSequence:
                         self._append_next()
         return memo
 
-    def exponent(self, n: int) -> int | None:
-        """a_n for two-power chains (b_n = 2^(a_n)); None otherwise."""
-        if not self.is_two_power:
-            return None
-        return self.term(n).bit_length() - 1
-
-    @property
-    def is_two_power(self) -> bool:
-        return isinstance(self.descriptor, TwoPowerExponent)
-
     def cycle_product(self) -> int | None:
         """Product of one multiplier period, or None when the prime support
         of the chain is not known in closed form (MultiplierFunc)."""
@@ -280,72 +270,3 @@ def make_pivots(descriptor: PivotDescriptor | str, bit_budget: int | None = None
     elif not isinstance(descriptor, MultiplierFunc):
         raise TypeError(f"not a pivot descriptor: {descriptor!r}")
     return PivotSequence(descriptor, bit_budget=bit_budget)
-
-
-# -- prefix validation -----------------------------------------------------
-
-VIOLATION_NONUNIT_BASE = "nonunit_base"
-VIOLATION_NOT_DIVISOR = "not_divisor"
-VIOLATION_EQUAL_TERMS = "equal_terms"
-
-
-class PrefixValidation(NamedTuple):
-    ok: bool
-    index: int | None
-    reason: str | None
-
-
-def validate_prefix(seq: PivotSequence | Sequence[int], length: int | None = None) -> PrefixValidation:
-    """Check the chain axioms (b_0 = 1, consecutive terms distinct, each term
-    divides the next) over a prefix.
-
-    ``seq`` may be a PivotSequence (then ``length`` terms are materialized)
-    or an explicit list of terms. Violations are data, not errors: the
-    report carries the first offending index and a reason code.
-    """
-    if isinstance(seq, PivotSequence):
-        if length is None or length < 1:
-            raise ValueError("length must be a positive count of terms")
-        terms = seq.terms(length)
-    else:
-        terms = list(seq)
-        if length is not None:
-            terms = terms[:length]
-        if not terms:
-            raise ValueError("empty term list")
-    if terms[0] != 1:
-        return PrefixValidation(False, 0, VIOLATION_NONUNIT_BASE)
-    for n in range(len(terms) - 1):
-        if terms[n + 1] == terms[n]:
-            return PrefixValidation(False, n, VIOLATION_EQUAL_TERMS)
-        if terms[n + 1] % terms[n] != 0 or terms[n + 1] < terms[n]:
-            return PrefixValidation(False, n, VIOLATION_NOT_DIVISOR)
-    return PrefixValidation(True, None, None)
-
-
-# -- prefix predicates for the side hypotheses some results need ----------
-
-
-def exponent_gaps(seq: PivotSequence, length: int) -> list[int] | None:
-    """Consecutive exponent gaps a_{n+1} - a_n over the prefix, for
-    two-power chains; None for multiplier chains."""
-    if not seq.is_two_power:
-        return None
-    exps = [seq.exponent(n) for n in range(length)]
-    return [exps[n + 1] - exps[n] for n in range(length - 1)]
-
-
-def has_min_exponent_gap(seq: PivotSequence, length: int, gap: int, start: int = 1) -> bool:
-    """Whether a_{n+1} - a_n >= gap for all n in [start, length-2]."""
-    gaps = exponent_gaps(seq, length)
-    if gaps is None:
-        return False
-    return all(g >= gap for g in gaps[start:])
-
-
-def gaps_strictly_increasing(seq: PivotSequence, length: int) -> bool:
-    """Whether the exponent gaps a_{n+1} - a_n increase strictly over the prefix."""
-    gaps = exponent_gaps(seq, length)
-    if gaps is None:
-        return False
-    return all(gaps[n + 1] > gaps[n] for n in range(len(gaps) - 1))

@@ -304,6 +304,33 @@ def test_verify_paper_quick(capsys):
     assert all(r["ok"] for r in rows)
 
 
+QUICK_SEED0 = Path(__file__).parent / "data" / "golden" / "verify-paper-quick-seed0.stdout"
+
+
+@pytest.mark.parametrize(
+    "config, argv",
+    [
+        ({"quick": True, "seed": 0}, ()),
+        ({"quick": False}, ("--quick", "--seed", "0")),  # the flag wins over the file
+    ],
+)
+def test_verify_paper_quick_from_config(tmp_path, capsys, monkeypatch, config, argv):
+    monkeypatch.delenv("ZTOP_BIT_BUDGET", raising=False)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "verify-paper", *argv)
+    assert (status, err) == (0, "")
+    assert out.encode() == QUICK_SEED0.read_bytes()
+
+
+@pytest.mark.parametrize("quick", ["false", 1, 0, "yes"])
+def test_verify_paper_quick_in_config_must_be_a_boolean(tmp_path, capsys, quick):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"quick": quick}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "verify-paper")
+    assert (status, out, err) == (2, "", f"ztop: option --quick must be true or false, got {quick!r}\n")
+
+
 def test_verify_paper_exits_1_when_one_row_fails(capsys, monkeypatch):
     # block-example-falsification runs the same check under its own row
     table = list(regressions.PAPER_CHECKS)

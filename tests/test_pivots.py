@@ -8,13 +8,9 @@ from ztop.pivots import (
     MultiplierChain,
     MultiplierFunc,
     TwoPowerExponent,
-    exponent_gaps,
-    gaps_strictly_increasing,
-    has_min_exponent_gap,
     make_pivots,
     parse_descriptor,
     resolve_bit_budget,
-    validate_prefix,
 )
 
 
@@ -43,8 +39,8 @@ def test_term_examples(square, chain232):
 
 def test_polynomial_exponents():
     cubic = make_pivots("poly:3,0,1")  # a_n = 3n + n^3
-    assert cubic.exponent(0) == 0
-    assert [cubic.exponent(n) for n in range(4)] == [0, 4, 14, 36]
+    assert cubic.term(0) == 1
+    assert cubic.terms(4) == [1, 2**4, 2**14, 2**36]
     assert cubic.term(2) == 2**14
     with pytest.raises(ValueError):
         make_pivots("poly:-1")  # decreasing exponents
@@ -63,12 +59,12 @@ def test_polynomial_exponents_are_refused_lazily_where_they_fall():
     # a_n = 100n - n^2 rises up to n = 50 (a_50 = 2500), past the probe
     # prefix, and a_51 = 2499
     chain = make_pivots("poly:100,-1")
-    assert chain.exponent(50) == 2500
+    assert chain.term(50) == 2**2500
     with pytest.raises(ValueError, match=r"^exponent form 'poly:100,-1' is not strictly increasing at n=51$"):
         chain.term(51)
     # a_n = 98n - 2n^2 repeats itself: a_24 = a_25 = 1200
     flat = make_pivots("poly:98,-2")
-    assert flat.exponent(24) == 1200 and flat.is_two_power
+    assert flat.term(24) == 2**1200
     with pytest.raises(ValueError, match=r"^exponent form 'poly:98,-2' is not strictly increasing at n=25$"):
         flat.term(25)
     assert flat.terms_until(1) == [1 << (98 * n - 2 * n * n) for n in range(25)]
@@ -99,18 +95,6 @@ def test_descriptor_text_round_trip():
         assert make_pivots(text).text == text
 
 
-def test_validate_prefix(square):
-    assert validate_prefix(square, 10).ok
-    report = validate_prefix([1, 3, 5])
-    assert report == (False, 1, "not_divisor")
-    report = validate_prefix([1, 2, 2])
-    assert report == (False, 1, "equal_terms")
-    report = validate_prefix([2, 4, 8])
-    assert report == (False, 0, "nonunit_base")
-    with pytest.raises(ValueError):
-        validate_prefix(square)  # length required for sequences
-
-
 @pytest.mark.parametrize("text", ["linear", "square", "factorial", "pow2", "chain:2,3,2", "poly:2,1"])
 def test_chain_axioms_over_prefix(text):
     seq = make_pivots(text)
@@ -134,14 +118,13 @@ def test_two_power_terms_match_exponents(text, exponent):
     seq = make_pivots(text)
     for n in range(10):
         assert seq.term(n) == 2 ** exponent(n)
-        assert seq.exponent(n) == exponent(n)
 
 
 def test_multiplier_func_descriptor():
     seq = make_pivots(MultiplierFunc(lambda step: step + 1, name="step+1"))
     assert seq.terms(4) == [1, 2, 6, 24]
     assert seq.cycle_product() is None
-    assert not seq.is_two_power
+    assert seq.term(6) == 5040  # step + 1 multipliers give (n + 1)!, not a power of two
     bad = make_pivots(MultiplierFunc(lambda step: 1))
     with pytest.raises(ValueError):
         bad.term(1)
@@ -221,7 +204,7 @@ def test_terms_until_budget_refusal_keeps_memo_consistent():
     with pytest.raises(BitBudgetExceeded):
         seq.terms_until(2**81 + 1)  # needs b_10 = 2^100, 101 bits
     assert seq.terms_until(1) == [2 ** (n * n) for n in range(10)]
-    assert [seq.exponent(n) for n in range(10)] == [n * n for n in range(10)]
+    assert [seq.term(n) for n in range(10)] == [2 ** (n * n) for n in range(10)]
     with pytest.raises(BitBudgetExceeded):
         seq.terms_until(2**81, extra=1)  # b_9 = 2^81, then b_10
     assert seq.terms_until(2**50) == [2 ** (n * n) for n in range(10)]
@@ -231,7 +214,7 @@ def test_terms_until_budget_refusal_keeps_memo_consistent():
     with pytest.raises(BitBudgetExceeded):
         chain.terms_until(2**10)
     memo = chain.terms_until(1)
-    assert validate_prefix(memo).ok and memo[-1] < 2**10
+    assert memo == [1, 2, 6, 12, 36, 72, 216, 432]
     assert chain.terms_until(100)[-1] == 432  # served from the memo
 
 
@@ -248,15 +231,3 @@ def test_concurrent_term_access():
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
-
-
-def test_gap_predicates(square, linear, factorial):
-    assert exponent_gaps(square, 5) == [1, 3, 5, 7]
-    # gaps from index 1 on are all >= 2 for the square chain
-    assert has_min_exponent_gap(square, 10, 2, start=1)
-    assert not has_min_exponent_gap(square, 10, 2, start=0)
-    assert not has_min_exponent_gap(linear, 10, 2)
-    assert gaps_strictly_increasing(square, 10)
-    assert not gaps_strictly_increasing(linear, 10)
-    assert exponent_gaps(make_pivots(MultiplierChain((2, 3))), 5) is None
-    assert not has_min_exponent_gap(factorial, 4, 2, start=1)  # gap a_2 - a_1 = 1
