@@ -250,10 +250,13 @@ def mask_positions(mask, start=0, step=1):
     at least one position set in _SPARSE, goes lazily through ``compress``,
     which makes an int for every position but costs less per position than
     a call to ``find``, and so does every mask with step != 1, which keeps
-    the walk with ``find`` free of multiplications. Clearing a byte already
-    passed does not disturb the positions still to come.
+    the walk with ``find`` free of multiplications. A mask of ones only is
+    the bare range. Clearing a byte already passed does not disturb the
+    positions still to come.
     """
     count = mask.count(1)
+    if count == len(mask):
+        return range(start, start + count * step, step)
     if count * _SPARSE >= len(mask) or step != 1:
         return compress(range(start, start + len(mask) * step, step), mask)
     out = []

@@ -10,7 +10,8 @@ one size, fixed in the check.
 The exhaustive sweeps of criteria 1-3 run the kernels directly, through
 ``decomposition.round_trip_failures`` and ``neighborhoods.route_violations``:
 each chain prefix is fetched once and each integer decomposed once, and
-every integer of the range is still checked. Those sweeps return the
+every integer of the range is still checked; criterion 1 checks -l through
+l when their digits are exact negations. Those sweeps return the
 integers that fail; the first one is checked again through the public
 wrappers, so a failure reads as it would from ``decompose``,
 ``recompose_and_check``, ``member_direct``, ``member_partial_sums`` and

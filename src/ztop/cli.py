@@ -215,7 +215,7 @@ class _Settings:
 
     A config file names an option by its long flag with dashes turned into
     underscores (``l`` for ``--l``); the storage name (``l_value``) is read
-    when the flag's name is absent.
+    when the flag's name is absent. A config value of null counts as absent.
     """
 
     def __init__(self, args, config: dict, flags: dict):
@@ -225,10 +225,10 @@ class _Settings:
 
     def get(self, key, default=None, required=False, integer=False):
         flag = self.flags[key]
-        value = getattr(self.args, key, None)
-        if value is None:
-            name = flag.lstrip("-").replace("-", "_")
-            value = self.config[name] if name in self.config else self.config.get(key, default)
+        name = flag.lstrip("-").replace("-", "_")
+        for value in (getattr(self.args, key, None), self.config.get(name), self.config.get(key), default):
+            if value is not None:
+                break
         if value is None and required:
             raise ValueError(f"missing required option {flag}")
         if value is not None and integer:

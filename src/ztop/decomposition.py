@@ -12,7 +12,11 @@ empty digit list and recomposes to 0.
 
 ``round_trip_failures`` is the exhaustive sweep of criterion 1: it runs the
 kernels behind ``decompose`` and ``recompose_and_check`` over a whole range
-of l with one fetch of the chain prefix.
+of l with one fetch of the chain prefix. Digits that are exactly l's
+negated recompose to minus l's value and keep both bounds, each bound being
+on an absolute value, so -l is verified only when l failed or its digits
+are not l's negated; the failures are those of verifying every l, whatever
+the digit kernel returns.
 
 Both kernels work per nonzero digit, not per chain level. A level whose
 remainder r has 2|r| <= b_n rounds to the digit 0 and leaves r unchanged,
@@ -118,17 +122,31 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[int]:
 
     The sweep form of ``recompose_and_check(decompose(l, pivots))``: the
     chain prefix is fetched once and every l != 0 goes through the same
-    ``decompose_digits`` and ``coefficient_checks`` kernels; l = 0 goes
-    through the wrappers themselves.
+    ``decompose_digits`` kernel and, unless its verdict is already known,
+    ``coefficient_checks``; l = 0 goes through the wrappers themselves.
+
+    The sweep runs l = 1..limit and decomposes l and -l, which share the
+    top index. ``coefficient_checks`` of the negated digits of l returns
+    minus l's value and l's two bound verdicts, since both bounds compare
+    absolute values at the same nonzero digits. So when l passes and the
+    digits of -l are exactly l's negated, -l passes too, and only otherwise
+    are the digits of -l checked. That holds for any digit kernel, so the
+    failures are those of checking every l.
     """
     terms = pivots.terms_until(limit, extra=1)
-    failures = []
-    for l in range(-limit, limit + 1):
-        if l:
-            digits = decompose_digits(l, terms, bisect_left(terms, -l if l < 0 else l))
-            value, digit_ok, partial_ok = coefficient_checks(digits, terms)
-            if value != l or not (digit_ok and partial_ok):
-                failures.append(l)
-        elif not recompose_and_check(decompose(0, pivots)).ok:
-            failures.append(0)
-    return failures
+    negatives = []
+    positives = []
+    for l in range(1, limit + 1):
+        top = bisect_left(terms, l)
+        digits = decompose_digits(l, terms, top)
+        value, digit_ok, partial_ok = coefficient_checks(digits, terms)
+        failed = value != l or not (digit_ok and partial_ok)
+        if failed:
+            positives.append(l)
+        mirror = decompose_digits(-l, terms, top)
+        if failed or mirror != [-k for k in digits]:
+            value, digit_ok, partial_ok = coefficient_checks(mirror, terms)
+            if value != -l or not (digit_ok and partial_ok):
+                negatives.append(-l)
+    zero = [] if recompose_and_check(decompose(0, pivots)).ok else [0]
+    return negatives[::-1] + zero + positives

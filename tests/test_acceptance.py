@@ -17,6 +17,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztop import acceptance, convergence, decomposition, neighborhoods, regressions
 from ztop.pivots import make_pivots
@@ -89,7 +91,9 @@ def test_criterion_9_duality_shadow():
 # -- the sweeps reach every integer ---------------------------------------------
 # Each guard corrupts one kernel answer for one integer on the linear chain
 # (the only one with b_3 = 8) and expects exactly that one violation back,
-# reported as the public wrappers report it.
+# reported as the public wrappers report it. Criterion 1 checks -l through
+# l when -l's digits are l's negated; the guards after the zero's check that
+# this mirror keeps every verdict of checking each integer.
 
 LIMIT = 60
 
@@ -132,6 +136,76 @@ def test_decomposition_soundness_reports_a_corrupted_zero(monkeypatch):
         "1 violations; first: ('linear', 0, CoefficientCheck(value=1, sum_ok=False, "
         "digit_bounds_ok=True, partial_sum_bounds_ok=True))"
     )
+
+
+def test_decomposition_soundness_reports_both_of_a_consistently_corrupted_pair(monkeypatch):
+    # the digits of -7 stay exactly those of 7 negated, and both fail
+    original = decomposition.decompose_digits
+
+    def corrupted(l, terms, top):
+        digits = original(l, terms, top)
+        if l in (7, -7) and on_linear(terms):
+            digits[0] += 1 if l > 0 else -1
+        return digits
+
+    monkeypatch.setattr(decomposition, "decompose_digits", corrupted)
+    ok, detail = acceptance.decomposition_soundness(limit=LIMIT)
+    linear = make_pivots("linear")
+    first = ("linear", -7, decomposition.recompose_and_check(decomposition.decompose(-7, linear)))
+    assert not ok
+    assert detail == f"swept |l| <= {LIMIT} over 4 chains, 2 violations; first: {first}"
+
+
+def test_decomposition_soundness_accepts_other_valid_digits_for_minus_one(monkeypatch):
+    # [1, -1] is -1 = 1 - 2 over the linear chain, within both bounds, but
+    # not the negation of 1's digits [1]
+    original = decomposition.decompose_digits
+
+    def other(l, terms, top):
+        return [1, -1] if l == -1 and on_linear(terms) else original(l, terms, top)
+
+    linear = make_pivots("linear")
+    assert decomposition.recompose_and_check(decomposition.coefficients_from_digits([1, -1], linear, -1)).ok
+    monkeypatch.setattr(decomposition, "decompose_digits", other)
+    assert acceptance.decomposition_soundness(limit=LIMIT) == (
+        True,
+        f"swept |l| <= {LIMIT} over 4 chains, 0 violations",
+    )
+
+
+@pytest.mark.parametrize("chain", ["linear", "chain:2,3"])
+@settings(max_examples=60, deadline=None)
+@given(
+    edits=st.dictionaries(
+        st.integers(-LIMIT, LIMIT).filter(bool),
+        st.tuples(st.integers(0, 10), st.integers(-2, 2)),
+        max_size=12,
+    ),
+    odd=st.booleans(),
+)
+def test_round_trip_failures_match_checking_every_integer(chain, edits, odd):
+    # each edit adds a delta to one digit; with ``odd`` every edited l also
+    # has -l edited by the opposite delta, so the pair stays negated
+    if odd:
+        edits = {**{-l: (i, -d) for l, (i, d) in edits.items()}, **edits}
+    original = decomposition.decompose_digits
+
+    def corrupted(l, terms, top):
+        digits = original(l, terms, top)
+        if l in edits:
+            i, d = edits[l]
+            digits[i % len(digits)] += d
+        return digits
+
+    pivots = make_pivots(chain)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "decompose_digits", corrupted)
+        expected = [
+            l
+            for l in range(-LIMIT, LIMIT + 1)
+            if not decomposition.recompose_and_check(decomposition.decompose(l, pivots)).ok
+        ]
+        assert decomposition.round_trip_failures(pivots, LIMIT) == expected
 
 
 def corrupt_kernel(monkeypatch, name, target_k, target_m):

@@ -312,6 +312,7 @@ QUICK_SEED0 = Path(__file__).parent / "data" / "golden" / "verify-paper-quick-se
     [
         ({"quick": True, "seed": 0}, ()),
         ({"quick": False}, ("--quick", "--seed", "0")),  # the flag wins over the file
+        ({"seed": None, "quick": True}, ()),  # null is not given: the default seed 0
     ],
 )
 def test_verify_paper_quick_from_config(tmp_path, capsys, monkeypatch, config, argv):
@@ -357,6 +358,13 @@ def test_missing_option_names_the_flag(capsys):
     assert (status, out, err) == (2, "", "ztop: missing required option --l\n")
     status, out, err = run_cli(capsys, "discrete", "--ratio-bound", "2")
     assert (status, out, err) == (2, "", "ztop: missing required option --x\n")
+
+
+def test_required_option_given_as_null_is_missing(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "linear", "l": None, "l_value": None}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "decompose")
+    assert (status, out, err) == (2, "", "ztop: missing required option --l\n")
 
 
 def test_non_integer_config_option_names_the_flag(tmp_path, capsys):

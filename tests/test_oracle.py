@@ -931,6 +931,15 @@ def test_mask_positions_on_fixed_masks(mask):
             assert list(mask_positions(mask, start, step)) == expected
 
 
+@pytest.mark.parametrize("step", [1, CHAINS["square"].term(4)])
+def test_mask_positions_on_a_full_mask_is_the_range(step):
+    # every segment of a Linear window is such a mask
+    for size in (0, 1, 11, 300):
+        for start in (0, -7, 10**12):
+            expected = range(start, start + size * step, step)
+            assert mask_positions(bytearray(b"\x01") * size, start, step) == expected
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
 def test_arc_sieve_on_arc_edges(level):
     # q a multiple of 4*level puts k*p/q exactly on the arc's end for some k.
