@@ -3,16 +3,18 @@
 Subcommands: decompose, member, converge, blocks, discrete, dual,
 verify-paper. Reports are newline-delimited JSON records by default (a
 header record with the command, config echo, and library version, then one
-record per result); the tabular ``blocks`` subcommand can emit CSV instead.
-Output is deterministic byte-for-byte for a fixed config. verify-paper
-prints one record per row of ``ztop.regressions.PAPER_CHECKS``, then ALL.
+record per result); only ``blocks``, the one tabular report, takes --format
+and can emit CSV. Output is deterministic byte-for-byte for a fixed config.
+verify-paper, the one subcommand that takes --seed, prints one record per
+row of ``ztop.regressions.PAPER_CHECKS``, then ALL.
 
 Exit codes: 0 success / claims verified; 1 falsification or invariant
 violation found (the report says what); 2 usage or config errors, running
 out of memory, or an internal error.
 
-A JSON config file (--config) may supply any long option (dashes become
-underscores); explicit command-line flags win. The ZTOP_BIT_BUDGET
+A JSON config file (--config) may supply any option of the subcommand, by
+its long flag (dashes become underscores) or by the name the header prints;
+any other key is refused. Explicit flags win. The ZTOP_BIT_BUDGET
 environment variable, an integer >= 1, overrides the per-term bit budget.
 """
 
@@ -62,7 +64,8 @@ def _point_str(point):
 class Report:
     """Collects the header and result rows, then renders NDJSON or CSV."""
 
-    def __init__(self, command: str, config: dict):
+    def __init__(self, command: str, config: dict, fmt: str = "json"):
+        self.fmt = fmt
         self.header = {
             "record": "header",
             "command": command,
@@ -74,8 +77,8 @@ class Report:
     def add(self, **row):
         self.rows.append(row)
 
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
+    def render(self) -> str:
+        if self.fmt == "json":
             lines = [_json_line(self.header)]
             lines += [_json_line(dict(row, record="result")) for row in self.rows]
             return "\n".join(lines) + "\n"
@@ -136,24 +139,17 @@ def _build_parser():
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--config", help="JSON file supplying any long option")
+    parser.add_argument("--config", help="JSON file supplying any option of the subcommand")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p, csv_ok=False):
-        p.add_argument("--format", choices=("json", "csv") if csv_ok else ("json",))
-        p.add_argument("--output", help="write the report to this path instead of stdout")
-        p.add_argument("--seed", type=int, help="seed for randomized sweeps (default 0)")
 
     p = sub.add_parser("decompose", help="balanced digits of an integer over a chain")
     p.add_argument("--pivots")
     p.add_argument("--l", type=int, dest="l_value")
-    common(p)
 
     p = sub.add_parser("member", help="all four membership routes side by side")
     p.add_argument("--pivots")
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
-    common(p)
 
     p = sub.add_parser("converge", help="prefix convergence verdict for a sequence")
     p.add_argument("--pivots")
@@ -161,7 +157,6 @@ def _build_parser():
     p.add_argument("--m", type=int, help="uniform neighbourhood level")
     p.add_argument("--n", type=int, help="linear neighbourhood index")
     p.add_argument("--horizon", type=int)
-    common(p)
 
     p = sub.add_parser("blocks", help="settle-index / block / peak-ratio table")
     p.add_argument("--pivots")
@@ -169,32 +164,32 @@ def _build_parser():
     p.add_argument("--horizon", type=int)
     p.add_argument("--levels", type=int)
     p.add_argument("--thresholds", help="comma-separated arc levels for the peak-decay report")
-    common(p, csv_ok=True)
+    p.add_argument("--format", choices=("json", "csv"), help="report format (default json)")
 
     p = sub.add_parser("discrete", help="separation certificate for a decreasing sequence")
     p.add_argument("--x", dest="xs", help="comma-separated rationals, e.g. 1/2,1/4,1/8")
     p.add_argument("--ratio-bound", type=int, dest="ratio_bound")
     p.add_argument("--window", type=int)
-    common(p)
 
     p = sub.add_parser("dual", help="character continuity checks")
     p.add_argument("--pivots")
     p.add_argument("--chi", help='character value "p/q"')
     p.add_argument("--m", type=int, help="also window-check against this uniform level")
     p.add_argument("--n", type=int, help="also window-check against this linear index")
-    p.add_argument("--window", type=int)
-    common(p)
+    p.add_argument("--window", type=int, help="window of the --m or --n check (default 1000)")
 
     p = sub.add_parser("verify-paper", help="run every built-in regression and acceptance sweep")
     # default None, so that a config file's "quick" is read when the flag is absent
     p.add_argument("--quick", action="store_true", default=None, help="trim the exhaustive sweep sizes")
-    common(p)
-    # subcommand -> {dest: flag}; messages name the flag, which is not always the dest
-    flags = {
-        name: {a.dest: a.option_strings[0] for a in p._actions if a.option_strings}
+    p.add_argument("--seed", type=int, help="seed for randomized sweeps (default 0)")
+    for p in sub.choices.values():
+        p.add_argument("--output", help="write the report to this path instead of stdout")
+    # subcommand -> {dest: option}: the one statement of each flag, type and choices
+    options = {
+        name: {a.dest: a for a in p._actions if a.option_strings and a.dest != "help"}
         for name, p in sub.choices.items()
     }
-    return parser, flags
+    return parser, options
 
 
 def _integer_option(flag, value):
@@ -214,36 +209,45 @@ class _Settings:
     """Resolves each option as: explicit flag, else config file, else default.
 
     A config file names an option by its long flag with dashes turned into
-    underscores (``l`` for ``--l``); the storage name (``l_value``) is read
-    when the flag's name is absent. A config value of null counts as absent.
+    underscores (``l`` for ``--l``) or, when that is absent, by its storage
+    name (``l_value``); any other key is refused. A config value of null
+    counts as absent. Every value passes its option's type, choices or switch.
     """
 
-    def __init__(self, args, config: dict, flags: dict):
-        self.args = args
-        self.config = config
-        self.flags = flags
+    def __init__(self, command, args, config: dict, options: dict):
+        self.args, self.config, self.options = args, config, options
+        self.names = {key: a.option_strings[0][2:].replace("-", "_") for key, a in options.items()}
+        for key in config:
+            if key not in options and key not in self.names.values():
+                raise ValueError(f"option --{key.replace('_', '-')} does not apply to {command}")
 
-    def get(self, key, default=None, required=False, integer=False):
-        flag = self.flags[key]
-        name = flag.lstrip("-").replace("-", "_")
-        for value in (getattr(self.args, key, None), self.config.get(name), self.config.get(key), default):
+    def get(self, key, default=None, required=False):
+        option = self.options[key]
+        flag, name = option.option_strings[0], self.names[key]
+        for value in (getattr(self.args, key), self.config.get(name), self.config.get(key), default):
             if value is not None:
                 break
         if value is None and required:
             raise ValueError(f"missing required option {flag}")
-        if value is not None and integer:
+        if value is None:
+            return None
+        if option.type is int:
             value = _integer_option(flag, value)
+        elif option.nargs == 0 and type(value) is not bool:  # a switch such as --quick
+            raise ValueError(f"option {flag} must be true or false, got {value!r}")
+        if option.choices is not None and value not in option.choices:
+            raise ValueError(f"option {flag} must be one of {', '.join(option.choices)}, got {value!r}")
         return value
 
     def echo(self):
         """The header's config: every option set, bar those shaping the output."""
-        values = {k: self.get(k) for k in self.flags if k not in ("help", "format", "output")}
+        values = {k: self.get(k) for k in self.options if k not in ("format", "output")}
         return {k: v for k, v in values.items() if v is not None}
 
 
 def _spec_from(settings, pivots):
-    m = settings.get("m", integer=True)
-    n = settings.get("n", integer=True)
+    m = settings.get("m")
+    n = settings.get("n")
     if (m is None) == (n is None):
         raise ValueError("exactly one of --m (uniform) or --n (linear) is required")
     return NeighborhoodSpec(pivots, Uniform(m) if m is not None else Linear(n))
@@ -251,7 +255,7 @@ def _spec_from(settings, pivots):
 
 def _run_decompose(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    l = settings.get("l_value", required=True, integer=True)
+    l = settings.get("l_value", required=True)
     report = Report("decompose", settings.echo())
     coeffs = decompose(l, pivots)
     check = recompose_and_check(coeffs)
@@ -271,8 +275,8 @@ def _run_decompose(settings):
 
 def _run_member(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    m = settings.get("m", required=True, integer=True)
-    k = settings.get("k", required=True, integer=True)
+    m = settings.get("m", required=True)
+    k = settings.get("k", required=True)
     report = Report("member", settings.echo())
     coeffs = decompose(k, pivots)
     direct = member_direct(k, pivots, m)
@@ -297,7 +301,7 @@ def _run_converge(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     seq = make_sequence(settings.get("sequence", required=True), pivots)
     spec = _spec_from(settings, pivots)
-    horizon = settings.get("horizon", required=True, integer=True)
+    horizon = settings.get("horizon", required=True)
     report = Report("converge", settings.echo())
     verdict = prefix_test(seq, spec, horizon)
     report.add(
@@ -317,14 +321,13 @@ def _run_converge(settings):
 def _run_blocks(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     seq = make_sequence(settings.get("sequence", required=True), pivots)
-    horizon = settings.get("horizon", required=True, integer=True)
-    levels = settings.get("levels", integer=True)
+    horizon = settings.get("horizon", required=True)
+    levels = settings.get("levels")
     thresholds_text = settings.get("thresholds")
-    report = Report("blocks", settings.echo())
+    report = Report("blocks", settings.echo(), settings.get("format", "json"))
     status = EXIT_OK
-    if thresholds_text:
-        flag = settings.flags["thresholds"]
-        thresholds = tuple(_integer_option(flag, t) for t in str(thresholds_text).split(","))
+    if thresholds_text is not None:
+        thresholds = tuple(_integer_option("--thresholds", t) for t in str(thresholds_text).split(","))
         decay = peak_decay_report(seq, pivots, horizon, thresholds, levels=levels)
         stats = decay.stats
     else:
@@ -361,8 +364,8 @@ def _run_blocks(settings):
 def _run_discrete(settings):
     xs_text = settings.get("xs", required=True)
     xs = [parse_rational(x) for x in str(xs_text).split(",")]
-    ratio_bound = settings.get("ratio_bound", required=True, integer=True)
-    window = settings.get("window", 100, integer=True)
+    ratio_bound = settings.get("ratio_bound", required=True)
+    window = settings.get("window", 100)
     report = Report("discrete", settings.echo())
     witness = discreteness_witness(xs, ratio_bound, window)
     report.add(
@@ -379,6 +382,9 @@ def _run_discrete(settings):
 def _run_dual(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
     chi = character(parse_rational(str(settings.get("chi", required=True))))
+    windowed = settings.get("m") is not None or settings.get("n") is not None
+    if settings.get("window") is not None and not windowed:
+        raise ValueError("option --window needs --m or --n")
     report = Report("dual", settings.echo())
     kernel = kernel_check(chi, pivots)
     # generated_member(chi.value, pivots) runs the same search; it raises
@@ -393,11 +399,9 @@ def _run_dual(settings):
         "generated_member": generated,
     }
     status = EXIT_OK
-    m = settings.get("m", integer=True)
-    n = settings.get("n", integer=True)
-    if m is not None or n is not None:
+    if windowed:
         spec = _spec_from(settings, pivots)
-        window = settings.get("window", 1000, integer=True)
+        window = settings.get("window", 1000)
         wcheck = continuity_window_check(chi, spec, window)
         row["window"] = window
         row["window_ok"] = wcheck.ok
@@ -421,9 +425,7 @@ ACCEPTANCE_SWEEPS = regressions.PAPER_CHECKS
 
 def _run_verify(settings):
     quick = settings.get("quick", False)
-    if type(quick) is not bool:
-        raise ValueError(f"option --quick must be true or false, got {quick!r}")
-    seed = settings.get("seed", 0, integer=True)
+    seed = settings.get("seed", 0)
     report = Report("verify-paper", {"quick": quick, "seed": seed})
     all_ok = True
     for name, ok, detail in regressions.run_paper_checks(seed=seed, quick=quick):
@@ -445,7 +447,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser, flags = _build_parser()
+    parser, options = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -461,16 +463,11 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"ztop: config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    settings = _Settings(args, config, flags[args.command])
     try:
-        fmt = settings.get("format", "json")
-        formats = ("json", "csv") if args.command == "blocks" else ("json",)  # CSV needs a table
-        if fmt not in formats:
-            allowed = " or ".join(formats)
-            raise ValueError(f"option --format for {args.command} must be {allowed}, got {fmt!r}")
+        settings = _Settings(args.command, args, config, options[args.command])
         with _no_int_digit_limit():
             report, status = _RUNNERS[args.command](settings)
-            _write(report.render(fmt), settings.get("output"))
+            _write(report.render(), settings.get("output"))
         return status
     except BitBudgetExceeded as exc:
         print(f"ztop: bit budget exceeded: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ A character is determined by its value at 1, kept as a canonical circle
 point p/q. Such a character kills the subgroup b_n * Z exactly when q
 divides b_n, so continuity for the linear topology reduces to a
 divisibility search along the chain; the same search decides membership in
-the subgroup generated by the chain's unit fractions {1/b_n}. For the
+the subgroup generated by the chain's unit fractions {1/b_n}. It stops at a
+divisor or at a term over the bit budget, and after DEFAULT_SCAN_TERMS terms
+only on a ``MultiplierFunc`` chain, whose prime support is unknown. For the
 uniform topology only a finite-window necessary check is available (the
 character must map window members of the neighbourhood into the quarter
 arc); passing it is evidence, not proof, of continuity. That check does
@@ -20,6 +22,7 @@ no exact representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Optional
 
@@ -85,22 +88,21 @@ def _support_covers(q: int, cycle_product: int) -> bool:
 
 
 def _denominator_divides(q: int, pivots: PivotSequence):
-    """Least n <= DEFAULT_SCAN_TERMS with q | b_n, else a (False, None,
-    certificate) verdict."""
+    """Least n with q | b_n, else a (False, None, certificate) verdict. A
+    known support that covers q makes some b_n a multiple of q, so only an
+    unknown one (``MultiplierFunc``) caps the scan at b_DEFAULT_SCAN_TERMS."""
     if q == 1:
         return True, 0, CERT_DIVISOR
     cp = pivots.cycle_product()
     if cp is not None and not _support_covers(q, cp):
         return False, None, CERT_PRIME_SUPPORT
-    n = 0
-    while n <= DEFAULT_SCAN_TERMS:
+    for n in itertools.count() if cp is not None else range(DEFAULT_SCAN_TERMS + 1):
         try:
             b = pivots.term(n)
         except BitBudgetExceeded:
             return False, None, CERT_BUDGET
         if b % q == 0:
             return True, n, CERT_DIVISOR
-        n += 1
     return False, None, CERT_BUDGET
 
 
@@ -110,8 +112,9 @@ def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
     That holds exactly when the reduced denominator of chi(1) divides some
     chain term; the least such index is returned (its subgroup lies in the
     kernel of chi). Negatives certified through the prime support are
-    definitive; budget-exhausted negatives (no divisor up to
-    b_DEFAULT_SCAN_TERMS, or a term over the bit budget) are inconclusive.
+    definitive; budget-exhausted negatives (a term over the bit budget, or
+    on a ``MultiplierFunc`` chain no divisor up to b_DEFAULT_SCAN_TERMS) are
+    inconclusive.
     """
     found, n, cert = _denominator_divides(chi.denominator, pivots)
     return KernelCheck(found, n, cert)
@@ -120,7 +123,8 @@ def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
 def generated_member(x: TorusPoint, pivots: PivotSequence) -> bool:
     """Whether x lies in the subgroup of the circle generated by the chain's
     unit fractions {1/b_n}; for divisibility chains this means the reduced
-    denominator of x divides some b_n: ``kernel_check``'s search.
+    denominator of x divides some b_n: ``kernel_check``'s search, capped
+    at b_DEFAULT_SCAN_TERMS only on a ``MultiplierFunc`` chain.
 
     Raises BitBudgetExceeded when the search is inconclusive (no divisor
     found, no prime-support certificate available).

@@ -146,7 +146,7 @@ def test_dual_report(capsys):
 @pytest.mark.parametrize(
     "pivots, chi, budget, generated",
     [("square", "3/16", None, True), ("factorial", "1/7", None, False),
-     ("linear", f"1/{2**600}", None, None),  # no divisor among b_0..b_512
+     ("linear", f"1/{2**600}", None, True),  # b_600, past b_512: the scan has no cap here
      ("linear", "1/1024", "8", None)],  # the bit budget refuses b_8 = 2^8
     ids=["divisor", "prime-support", "scan-limit", "bit-budget"],
 )
@@ -197,6 +197,71 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert status == 0
     _, rows = parse_ndjson(out)
     assert rows[0]["k"] == 1 and not rows[0]["direct"]
+
+
+def test_string_config_values_print_the_header_the_flags_print(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "square", "m": "1", "k": "128"}))
+    expected = run_cli(capsys, "member", "--pivots", "square", "--m", "1", "--k", "128")
+    assert run_cli(capsys, "--config", str(cfg), "member") == expected
+    assert parse_ndjson(expected[1])[0]["config"] == {"pivots": "square", "m": 1, "k": 128}
+
+
+def test_each_subcommand_declares_the_options_it_reads():
+    _, options = cli._build_parser()
+    flags = {name: sorted(a.option_strings[0] for a in opts.values()) for name, opts in options.items()}
+    assert flags == {
+        "decompose": ["--l", "--output", "--pivots"],
+        "member": ["--k", "--m", "--output", "--pivots"],
+        "converge": ["--horizon", "--m", "--n", "--output", "--pivots", "--sequence"],
+        "blocks": ["--format", "--horizon", "--levels", "--output", "--pivots", "--sequence",
+                   "--thresholds"],
+        "discrete": ["--output", "--ratio-bound", "--window", "--x"],
+        "dual": ["--chi", "--m", "--n", "--output", "--pivots", "--window"],
+        "verify-paper": ["--output", "--quick", "--seed"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("decompose", "--pivots", "linear", "--l", "5", "--seed", "3"),
+     ("dual", "--pivots", "square", "--chi", "3/16", "--format", "json")],
+)
+def test_flag_a_subcommand_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, flag",
+    [("window", "--window"), ("seed", "--seed"), ("format", "--format"),
+     ("ratio-bound", "--ratio-bound"), ("config", "--config")],
+)
+def test_config_key_that_names_no_option_is_refused(tmp_path, capsys, key, flag):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pivots": "square", "m": 1, "k": 128, key: 1}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "member")
+    assert (status, out, err) == (2, "", f"ztop: option {flag} does not apply to member\n")
+
+
+def test_config_value_outside_the_choices_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sequence": "fibonacci"}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "blocks", "--pivots", "square",
+                               "--horizon", "5")
+    assert (status, out) == (2, "")
+    assert err.startswith("ztop: option --sequence must be one of ")
+    assert err.endswith(", got 'fibonacci'\n")
+
+
+def test_dual_window_needs_a_neighbourhood(tmp_path, capsys):
+    status, out, err = run_cli(capsys, "dual", "--pivots", "square", "--chi", "3/16", "--window", "50")
+    assert (status, out, err) == (2, "", "ztop: option --window needs --m or --n\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"window": None}))  # null is not given
+    assert run_cli(capsys, "--config", str(cfg), "dual", "--pivots", "square", "--chi", "3/16")[0] == 0
 
 
 def test_config_errors(tmp_path, capsys):
@@ -413,17 +478,17 @@ def test_header_echoes_every_option_that_is_set(capsys):
     status, out, _ = run_cli(
         capsys,
         "blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
-        "--levels", "3", "--thresholds", "1,2", "--seed", "5", "--format", "json",
+        "--levels", "3", "--thresholds", "1,2", "--format", "json",
     )
     assert status == 0
     header, _ = parse_ndjson(out)
     assert header["config"] == {
         "pivots": "square", "sequence": "pivotsucc", "horizon": 20,
-        "levels": 3, "thresholds": "1,2", "seed": 5,
+        "levels": 3, "thresholds": "1,2",
     }
 
 
-@pytest.mark.parametrize("text, bad", [("1,x", "x"), ("1,,2", "")])
+@pytest.mark.parametrize("text, bad", [("1,x", "x"), ("1,,2", ""), ("", "")])
 def test_thresholds_errors_name_the_flag(capsys, text, bad):
     status, out, err = run_cli(
         capsys, "blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "5",

@@ -54,7 +54,7 @@ GOOD_VALUES = dict(
 COMMANDS = {
     "decompose": ("pivots", "l"),
     "member": ("pivots", "m", "k"),
-    "converge": ("pivots", "sequence", "m", "n", "horizon", "format"),
+    "converge": ("pivots", "sequence", "m", "n", "horizon"),
     "blocks": ("pivots", "sequence", "horizon", "levels", "thresholds", "format"),
     "discrete": ("x", "ratio-bound", "window"),
     "dual": ("pivots", "chi", "m", "n", "window"),

@@ -10,6 +10,7 @@ from ztop.duality import (
     CERT_BUDGET,
     CERT_DIVISOR,
     CERT_PRIME_SUPPORT,
+    DEFAULT_SCAN_TERMS,
     char_eval,
     character,
     continuity_window_check,
@@ -75,6 +76,23 @@ def test_kernel_check_budget_inconclusive():
     report = kernel_check(character(Fraction(1, 3)), awkward)
     assert not report.continuous_for_linear
     assert report.certificate == CERT_BUDGET
+
+
+@pytest.mark.parametrize("descriptor, q", [("linear", 2**600), ("chain:2,3", 6**300)],
+                         ids=["linear", "chain:2,3"])
+def test_kernel_search_runs_past_512_terms_where_the_support_is_known(descriptor, q):
+    # b_600 is 2^600 and 6^300, of 601 and 776 bits: far inside the bit budget
+    chi = character(Fraction(1, q))
+    pivots = make_pivots(descriptor)
+    assert kernel_check(chi, pivots) == (True, 600, CERT_DIVISOR)
+    assert generated_member(chi.value, pivots)
+
+
+def test_kernel_search_stops_at_the_scan_cap_where_the_support_is_unknown():
+    # the linear chain again, as a callable: its scan stops after b_512
+    doubling = make_pivots(MultiplierFunc(lambda step: 2, name="doubling"))
+    assert kernel_check(character(Fraction(1, 2**600)), doubling) == (False, None, CERT_BUDGET)
+    assert len(doubling._memo) == DEFAULT_SCAN_TERMS + 1 == 513
 
 
 def test_generated_member_examples(square):

@@ -14,12 +14,14 @@ The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 ``verify-paper`` learnt to name its check. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. ``<name>.stderr``, when present, holds its
-error output (absent means none). Any change to a verdict, a survivor list,
+error output (absent means none). Each header's ``config``, fed back through
+``--config``, must print the same bytes. Any change to a verdict, a survivor list,
 a failing k or a budget refusal shows here.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -111,9 +113,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_saved_run(name, monkeypatch):
-    argv, budget, status = CASES[name]
+def assert_prints_saved_run(name, argv, monkeypatch):
+    _, budget, status = CASES[name]
     if budget is None:
         monkeypatch.delenv("ZTOP_BIT_BUDGET", raising=False)
     else:
@@ -124,3 +125,20 @@ def test_cli_output_matches_saved_run(name, monkeypatch):
     assert out.getvalue().encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     stderr = GOLDEN / f"{name}.stderr"
     assert err.getvalue().encode() == (stderr.read_bytes() if stderr.exists() else b"")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_saved_run(name, monkeypatch):
+    assert_prints_saved_run(name, CASES[name][0], monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if (GOLDEN / f"{n}.stdout").stat().st_size))
+def test_header_config_repeats_the_saved_run(name, monkeypatch, tmp_path):
+    # the header's config, fed back through --config, is the whole run but
+    # for --format, which the header leaves out
+    argv = CASES[name][0]
+    header = (GOLDEN / f"{name}.stdout").read_text().splitlines()[0].removeprefix("# ")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(json.loads(header)["config"]))
+    fmt = argv[argv.index("--format"):][:2] if "--format" in argv else []
+    assert_prints_saved_run(name, ["--config", str(config), argv[0], *fmt], monkeypatch)
