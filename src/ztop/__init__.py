@@ -50,7 +50,6 @@ from ztop.neighborhoods import (
 from ztop.pivots import (
     BitBudgetExceeded,
     MultiplierChain,
-    MultiplierFunc,
     PivotSequence,
     TwoPowerExponent,
     make_pivots,
@@ -76,7 +75,6 @@ __all__ = [
     # pivots
     "TwoPowerExponent",
     "MultiplierChain",
-    "MultiplierFunc",
     "PivotSequence",
     "BitBudgetExceeded",
     "make_pivots",

@@ -104,8 +104,6 @@ def _csv_cell(value):
 
 
 def _write(text: str, output: str | None):
-    if output is not None and not isinstance(output, str):  # open() takes an int as a descriptor
-        raise ValueError(f"option --output must be a path, got {output!r}")
     if output:
         try:
             with open(output, "w") as fh:
@@ -211,7 +209,8 @@ class _Settings:
     A config file names an option by its long flag with dashes turned into
     underscores (``l`` for ``--l``) or, when that is absent, by its storage
     name (``l_value``); any other key is refused. A config value of null
-    counts as absent. Every value passes its option's type, choices or switch.
+    counts as absent. Every value passes its option's type, choices or switch;
+    an option with none of the three takes a string only.
     """
 
     def __init__(self, command, args, config: dict, options: dict):
@@ -233,8 +232,11 @@ class _Settings:
             return None
         if option.type is int:
             value = _integer_option(flag, value)
-        elif option.nargs == 0 and type(value) is not bool:  # a switch such as --quick
-            raise ValueError(f"option {flag} must be true or false, got {value!r}")
+        elif option.nargs == 0:  # a switch such as --quick
+            if type(value) is not bool:
+                raise ValueError(f"option {flag} must be true or false, got {value!r}")
+        elif not isinstance(value, str):  # open() would take an int --output as a descriptor
+            raise ValueError(f"option {flag} must be a string, got {value!r}")
         if option.choices is not None and value not in option.choices:
             raise ValueError(f"option {flag} must be one of {', '.join(option.choices)}, got {value!r}")
         return value
@@ -327,7 +329,7 @@ def _run_blocks(settings):
     report = Report("blocks", settings.echo(), settings.get("format", "json"))
     status = EXIT_OK
     if thresholds_text is not None:
-        thresholds = tuple(_integer_option("--thresholds", t) for t in str(thresholds_text).split(","))
+        thresholds = tuple(_integer_option("--thresholds", t) for t in thresholds_text.split(","))
         decay = peak_decay_report(seq, pivots, horizon, thresholds, levels=levels)
         stats = decay.stats
     else:
@@ -363,7 +365,7 @@ def _run_blocks(settings):
 
 def _run_discrete(settings):
     xs_text = settings.get("xs", required=True)
-    xs = [parse_rational(x) for x in str(xs_text).split(",")]
+    xs = [parse_rational(x) for x in xs_text.split(",")]
     ratio_bound = settings.get("ratio_bound", required=True)
     window = settings.get("window", 100)
     report = Report("discrete", settings.echo())
@@ -381,7 +383,7 @@ def _run_discrete(settings):
 
 def _run_dual(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    chi = character(parse_rational(str(settings.get("chi", required=True))))
+    chi = character(parse_rational(settings.get("chi", required=True)))
     windowed = settings.get("m") is not None or settings.get("n") is not None
     if settings.get("window") is not None and not windowed:
         raise ValueError("option --window needs --m or --n")

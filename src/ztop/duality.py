@@ -5,10 +5,10 @@ A character is determined by its value at 1, kept as a canonical circle
 point p/q. Such a character kills the subgroup b_n * Z exactly when q
 divides b_n, so continuity for the linear topology reduces to a
 divisibility search along the chain; the same search decides membership in
-the subgroup generated by the chain's unit fractions {1/b_n}. It stops at a
-divisor or at a term over the bit budget, and after DEFAULT_SCAN_TERMS terms
-only on a ``MultiplierFunc`` chain, whose prime support is unknown. For the
-uniform topology only a finite-window necessary check is available (the
+the subgroup generated by the chain's unit fractions {1/b_n}. It refuses a
+denominator with a prime outside the chain's support, and otherwise stops
+at a divisor or at a term over the bit budget. For the uniform topology
+only a finite-window necessary check is available (the
 character must map window members of the neighbourhood into the quarter
 arc); passing it is evidence, not proof, of continuity. That check does
 not evaluate the character member by member, on either family: the
@@ -30,8 +30,6 @@ from ztop._kernels import arc_sieve, trailing_zeros
 from ztop.neighborhoods import NeighborhoodSpec, _member_sieve
 from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import TorusPoint, canonicalize, int_scale
-
-DEFAULT_SCAN_TERMS = 512
 
 CERT_DIVISOR = "divisor"
 CERT_PRIME_SUPPORT = "prime-support"
@@ -89,21 +87,19 @@ def _support_covers(q: int, cycle_product: int) -> bool:
 
 def _denominator_divides(q: int, pivots: PivotSequence):
     """Least n with q | b_n, else a (False, None, certificate) verdict. A
-    known support that covers q makes some b_n a multiple of q, so only an
-    unknown one (``MultiplierFunc``) caps the scan at b_DEFAULT_SCAN_TERMS."""
+    support that covers q makes some b_n a multiple of q, so the scan ends
+    at that divisor or at a term over the bit budget."""
     if q == 1:
         return True, 0, CERT_DIVISOR
-    cp = pivots.cycle_product()
-    if cp is not None and not _support_covers(q, cp):
+    if not _support_covers(q, pivots.cycle_product()):
         return False, None, CERT_PRIME_SUPPORT
-    for n in itertools.count() if cp is not None else range(DEFAULT_SCAN_TERMS + 1):
+    for n in itertools.count():
         try:
             b = pivots.term(n)
         except BitBudgetExceeded:
             return False, None, CERT_BUDGET
         if b % q == 0:
             return True, n, CERT_DIVISOR
-    return False, None, CERT_BUDGET
 
 
 def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
@@ -112,9 +108,8 @@ def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
     That holds exactly when the reduced denominator of chi(1) divides some
     chain term; the least such index is returned (its subgroup lies in the
     kernel of chi). Negatives certified through the prime support are
-    definitive; budget-exhausted negatives (a term over the bit budget, or
-    on a ``MultiplierFunc`` chain no divisor up to b_DEFAULT_SCAN_TERMS) are
-    inconclusive.
+    definitive; budget-exhausted negatives (a term over the bit budget before
+    any divisor) are inconclusive.
     """
     found, n, cert = _denominator_divides(chi.denominator, pivots)
     return KernelCheck(found, n, cert)
@@ -123,11 +118,10 @@ def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
 def generated_member(x: TorusPoint, pivots: PivotSequence) -> bool:
     """Whether x lies in the subgroup of the circle generated by the chain's
     unit fractions {1/b_n}; for divisibility chains this means the reduced
-    denominator of x divides some b_n: ``kernel_check``'s search, capped
-    at b_DEFAULT_SCAN_TERMS only on a ``MultiplierFunc`` chain.
+    denominator of x divides some b_n: ``kernel_check``'s search.
 
-    Raises BitBudgetExceeded when the search is inconclusive (no divisor
-    found, no prime-support certificate available).
+    Raises BitBudgetExceeded when the search is inconclusive (a term over
+    the bit budget before any divisor).
     """
     found, _, cert = _denominator_divides(x.rep.denominator, pivots)
     if not found and cert == CERT_BUDGET:

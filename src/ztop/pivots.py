@@ -8,8 +8,11 @@ Two descriptor kinds are supported:
   constant term). Exponents must start at a_0 = 0 and increase strictly;
   the factorial and pow2 forms are clamped to a_0 = 0 so that b_0 = 1.
 * ``MultiplierChain`` -- b_n is the running product of a periodic list of
-  integer multipliers >= 2. ``MultiplierFunc`` admits an arbitrary callable
-  step -> multiplier for programmatic chains.
+  integer multipliers >= 2.
+
+Either way the chain's prime support is known: 2, or the primes of one
+multiplier period. A descriptor is checked when its ``PivotSequence`` is
+built.
 
 Terms are memoized lazily; a configurable bit budget (default 10**6 bits per
 term, overridable via the ZTOP_BIT_BUDGET environment variable) guards
@@ -24,7 +27,7 @@ import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 from ztop.torus import check_positive_int
 
@@ -84,26 +87,7 @@ class MultiplierChain:
         return "chain:" + ",".join(str(m) for m in self.multipliers)
 
 
-@dataclass(frozen=True)
-class MultiplierFunc:
-    """Descriptor wrapping a callable step -> multiplier (step >= 1).
-
-    The callable must be deterministic; chains built this way cannot be
-    expressed in the CLI descriptor text format.
-    """
-
-    fn: Callable[[int], int]
-    name: str = "func"
-
-    def multiplier(self, step: int) -> int:
-        return self.fn(step)
-
-    @property
-    def text(self) -> str:
-        return f"func:{self.name}"
-
-
-PivotDescriptor = Union[TwoPowerExponent, MultiplierChain, MultiplierFunc]
+PivotDescriptor = Union[TwoPowerExponent, MultiplierChain]
 
 
 def parse_descriptor(text: str) -> PivotDescriptor:
@@ -144,6 +128,33 @@ def resolve_bit_budget(bit_budget: int | None = None) -> int:
     return budget
 
 
+def _check_descriptor(descriptor: PivotDescriptor):
+    """Refuse a descriptor that builds no chain: an unknown or empty exponent
+    form, one that fails to increase over a probe prefix (every form starts
+    at a_0 = 0), or a multiplier list that is empty or holds a value below 2.
+    A polynomial form can still stop increasing past the probe; growth
+    refuses that term."""
+    if isinstance(descriptor, TwoPowerExponent):
+        if descriptor.form not in EXPONENT_FORMS:
+            raise ValueError(f"unknown exponent form {descriptor.form!r}")
+        if descriptor.form == "poly" and not descriptor.coeffs:
+            raise ValueError("polynomial exponent form needs at least one coefficient")
+        probe = [descriptor.exponent(n) for n in range(9)]
+        for n in range(8):
+            if probe[n + 1] <= probe[n]:
+                raise ValueError(
+                    f"exponent form {descriptor.text!r} is not strictly increasing at n={n + 1}"
+                )
+    elif isinstance(descriptor, MultiplierChain):
+        if not descriptor.multipliers:
+            raise ValueError("multiplier chain needs at least one multiplier")
+        for m in descriptor.multipliers:
+            if not isinstance(m, int) or m < 2:
+                raise ValueError(f"multipliers must be integers >= 2, got {m!r}")
+    else:
+        raise TypeError(f"not a pivot descriptor: {descriptor!r}")
+
+
 class PivotSequence:
     """Lazily evaluated, memoized divisibility chain b_0, b_1, b_2, ...
 
@@ -152,6 +163,7 @@ class PivotSequence:
     """
 
     def __init__(self, descriptor: PivotDescriptor, bit_budget: int | None = None):
+        _check_descriptor(descriptor)
         self.descriptor = descriptor
         self.bit_budget = resolve_bit_budget(bit_budget)
         self._memo: list[int] = [1]
@@ -198,15 +210,11 @@ class PivotSequence:
                         self._append_next()
         return memo
 
-    def cycle_product(self) -> int | None:
-        """Product of one multiplier period, or None when the prime support
-        of the chain is not known in closed form (MultiplierFunc)."""
+    def cycle_product(self) -> int:
+        """Product of one multiplier period, 2 on a two-power chain: its
+        primes are the chain's prime support."""
         d = self.descriptor
-        if isinstance(d, TwoPowerExponent):
-            return 2
-        if isinstance(d, MultiplierChain):
-            return math.prod(d.multipliers)
-        return None
+        return 2 if isinstance(d, TwoPowerExponent) else math.prod(d.multipliers)
 
     @property
     def text(self) -> str:
@@ -229,10 +237,7 @@ class PivotSequence:
                 )
             self._memo.append(1 << a)
         else:
-            mult = d.multiplier(i)
-            if not isinstance(mult, int) or mult < 2:
-                raise ValueError(f"multiplier at step {i} must be an integer >= 2, got {mult!r}")
-            nxt = self._memo[-1] * mult
+            nxt = self._memo[-1] * d.multiplier(i)
             if nxt.bit_length() > self.bit_budget:
                 raise BitBudgetExceeded(
                     f"term b_{i} of {d.text!r} needs {nxt.bit_length()} bits "
@@ -242,31 +247,7 @@ class PivotSequence:
 
 
 def make_pivots(descriptor: PivotDescriptor | str, bit_budget: int | None = None) -> PivotSequence:
-    """Build and sanity-check a pivot sequence from a descriptor or its text form.
-
-    Rejects exponent forms that fail to increase over a probe prefix (every
-    form starts at a_0 = 0); the monotonicity of polynomial forms is additionally
-    enforced lazily at every term evaluation.
-    """
+    """Build a pivot sequence from a descriptor or its text form."""
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
-    if isinstance(descriptor, TwoPowerExponent):
-        if descriptor.form not in EXPONENT_FORMS:
-            raise ValueError(f"unknown exponent form {descriptor.form!r}")
-        if descriptor.form == "poly" and not descriptor.coeffs:
-            raise ValueError("polynomial exponent form needs at least one coefficient")
-        probe = [descriptor.exponent(n) for n in range(9)]
-        for n in range(8):
-            if probe[n + 1] <= probe[n]:
-                raise ValueError(
-                    f"exponent form {descriptor.text!r} is not strictly increasing at n={n + 1}"
-                )
-    elif isinstance(descriptor, MultiplierChain):
-        if not descriptor.multipliers:
-            raise ValueError("multiplier chain needs at least one multiplier")
-        for m in descriptor.multipliers:
-            if not isinstance(m, int) or m < 2:
-                raise ValueError(f"multipliers must be integers >= 2, got {m!r}")
-    elif not isinstance(descriptor, MultiplierFunc):
-        raise TypeError(f"not a pivot descriptor: {descriptor!r}")
     return PivotSequence(descriptor, bit_budget=bit_budget)

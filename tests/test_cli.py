@@ -308,7 +308,26 @@ def test_non_path_output_in_config_is_refused(tmp_path, capsys, output):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"output": output}))
     status, out, err = run_cli(capsys, "--config", str(cfg), "decompose", "--pivots", "linear", "--l", "5")
-    assert (status, out, err) == (2, "", f"ztop: option --output must be a path, got {output!r}\n")
+    assert (status, out, err) == (2, "", f"ztop: option --output must be a string, got {output!r}\n")
+
+
+@pytest.mark.parametrize(
+    "key, value, argv",
+    [
+        ("chi", 0, ("dual", "--pivots", "linear")),
+        ("thresholds", 1, ("blocks", "--pivots", "square", "--sequence", "zero", "--horizon", "5")),
+        ("x", ["1/2", "1/4"], ("discrete", "--ratio-bound", "2")),
+        ("pivots", ["linear"], ("dual", "--chi", "1/2")),
+    ],
+    ids=["chi", "thresholds", "x", "pivots"],
+)
+def test_text_option_in_config_takes_a_string_only(tmp_path, capsys, key, value, argv):
+    # the flag gives text, so a config number or list would echo differently
+    # in the header, or fail deeper down without naming its flag
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+    assert (status, out, err) == (2, "", f"ztop: option --{key} must be a string, got {value!r}\n")
 
 
 @pytest.mark.parametrize(
@@ -446,10 +465,13 @@ def test_dual_character_from_config(tmp_path, capsys):
     status, out, err = run_cli(capsys, "--config", str(cfg), "dual")
     assert (status, out, err) == (2, "", "ztop: zero denominator: '1/0'\n")
     cfg.write_text(json.dumps({"pivots": "linear", "chi": 0}))
+    status, out, err = run_cli(capsys, "--config", str(cfg), "dual")
+    assert (status, out, err) == (2, "", "ztop: option --chi must be a string, got 0\n")
+    cfg.write_text(json.dumps({"pivots": "linear", "chi": "0"}))
     status, out, _ = run_cli(capsys, "--config", str(cfg), "dual")
     assert status == 0
-    _, rows = parse_ndjson(out)
-    assert rows[0]["chi"] == "0/1"
+    header, rows = parse_ndjson(out)
+    assert (header["config"]["chi"], rows[0]["chi"]) == ("0", "0/1")
 
 
 def test_config_names_the_l_option_as_its_flag(tmp_path, capsys):

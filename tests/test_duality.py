@@ -10,7 +10,6 @@ from ztop.duality import (
     CERT_BUDGET,
     CERT_DIVISOR,
     CERT_PRIME_SUPPORT,
-    DEFAULT_SCAN_TERMS,
     char_eval,
     character,
     continuity_window_check,
@@ -18,7 +17,7 @@ from ztop.duality import (
     kernel_check,
 )
 from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform
-from ztop.pivots import BitBudgetExceeded, MultiplierFunc, make_pivots
+from ztop.pivots import BitBudgetExceeded, make_pivots
 from ztop.torus import add, canonicalize
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=500)
@@ -70,10 +69,10 @@ def test_kernel_check_periodic_chain(chain23):
 
 
 def test_kernel_check_budget_inconclusive():
-    # support unknown (callable chain), denominator never divides: only the
-    # budget can stop the scan
-    awkward = make_pivots(MultiplierFunc(lambda step: 2, name="doubling"), bit_budget=64)
-    report = kernel_check(character(Fraction(1, 3)), awkward)
+    # 2^100 lies in the support, but b_100 = 2^100 is past a 64-bit budget:
+    # only the budget can stop the scan
+    short = make_pivots("linear", bit_budget=64)
+    report = kernel_check(character(Fraction(1, 2**100)), short)
     assert not report.continuous_for_linear
     assert report.certificate == CERT_BUDGET
 
@@ -88,20 +87,13 @@ def test_kernel_search_runs_past_512_terms_where_the_support_is_known(descriptor
     assert generated_member(chi.value, pivots)
 
 
-def test_kernel_search_stops_at_the_scan_cap_where_the_support_is_unknown():
-    # the linear chain again, as a callable: its scan stops after b_512
-    doubling = make_pivots(MultiplierFunc(lambda step: 2, name="doubling"))
-    assert kernel_check(character(Fraction(1, 2**600)), doubling) == (False, None, CERT_BUDGET)
-    assert len(doubling._memo) == DEFAULT_SCAN_TERMS + 1 == 513
-
-
 def test_generated_member_examples(square):
     assert generated_member(canonicalize(Fraction(1, 8)), square)  # 1/8 = 64/512
     assert not generated_member(canonicalize(Fraction(1, 3)), square)
     assert generated_member(canonicalize(0), square)
-    awkward = make_pivots(MultiplierFunc(lambda step: 2, name="doubling"), bit_budget=64)
+    short = make_pivots("linear", bit_budget=64)
     with pytest.raises(BitBudgetExceeded):
-        generated_member(canonicalize(Fraction(1, 3)), awkward)
+        generated_member(canonicalize(Fraction(1, 2**100)), short)
 
 
 def test_generated_member_agrees_with_kernel_check(square, chain23):

@@ -36,6 +36,7 @@ with and without a step. Hand-built digit lists stop where the chain's bit
 budget does.
 """
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -74,13 +75,12 @@ from ztop.neighborhoods import (
     member_linear,
     member_partial_sums,
 )
-from ztop.pivots import BitBudgetExceeded, MultiplierFunc, make_pivots
+from ztop.pivots import BitBudgetExceeded, make_pivots
 from ztop.torus import canonicalize, in_arc
 
 CHAINS = {
-    text: make_pivots(text) for text in ("linear", "square", "factorial", "chain:2,3")
+    text: make_pivots(text) for text in ("linear", "square", "factorial", "chain:2,3", "chain:3,4,2")
 }
-CHAINS["func:2+step%3"] = make_pivots(MultiplierFunc(lambda step: 2 + step % 3, name="2+step%3"))
 LEVELS = range(1, 9)
 
 
@@ -196,7 +196,7 @@ def test_routes_match_the_oracle_on_the_ladder(case):
 
 
 SQ, FAC = CHAINS["square"], CHAINS["factorial"]
-C23, FUNC = CHAINS["chain:2,3"], CHAINS["func:2+step%3"]
+C23, C342 = CHAINS["chain:2,3"], CHAINS["chain:3,4,2"]
 LADDER_CASES = {
     # first exit below 2^30, and a later one on the ladder (b_8 = 2^64)
     "below": ("square", 3, 5 + SQ.term(8) // 2, [1, 2, 8]),
@@ -210,7 +210,7 @@ LADDER_CASES = {
         "chain:2,3", 1, C23.term(200) // 2 + C23.term(100) // 2 + C23.term(50),
         [51, 99, 100, 101, 199, 200, 201],
     ),
-    "rungs-func": ("func:2+step%3", 2, FUNC.term(150) // 8 - 5 * FUNC.term(40), [41, 42, 43, 149]),
+    "rungs-chain:3,4,2": ("chain:3,4,2", 2, C342.term(150) // 8 - 5 * C342.term(40), [41, 42, 43, 149]),
     # no exit anywhere
     "none-sum": ("square", 1, SQ.term(8) + SQ.term(10) + SQ.term(12), []),
     "none-edge": ("square", 2, SQ.term(12) // 8, []),
@@ -1032,6 +1032,24 @@ def test_window_scan_under_the_bit_budget(monkeypatch, size):
     assert str(exc.value) == str(direct.value) == "term b_5 of 'factorial' needs 121 bits (budget 64)"
     spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
     assert continuity_window_check(character("1/7"), spec, 10**7) == (False, 4)
+
+
+# a_n = n for n <= 8, then a_9 = 9 - 9!: the probe accepts the form, and only
+# growth past b_8 = 2^8 finds that it falls
+FALLING_POLY = "poly:-40319,109584,-118124,67284,-22449,4536,-546,36,-1"
+
+
+def test_window_scan_on_a_chain_that_stops_increasing():
+    # the one invalid chain left to build: the window is cut where the bit
+    # budget would cut it, at the last k that b_0..b_8 decide (2^8 / 4)
+    message = f"^exponent form '{re.escape(FALLING_POLY)}' is not strictly increasing at n=9$"
+    members = iter_members(NeighborhoodSpec(make_pivots(FALLING_POLY), Uniform(1)), 1000)
+    assert next(members) == 0
+    with pytest.raises(ValueError, match=message):
+        next(members)
+    assert not member_direct(64, make_pivots(FALLING_POLY), 1)
+    with pytest.raises(ValueError, match=message):
+        member_direct(65, make_pivots(FALLING_POLY), 1)
 
 
 def test_continuity_window_check_stops_in_the_first_segment():

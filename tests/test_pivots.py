@@ -6,7 +6,7 @@ import pytest
 from ztop.pivots import (
     BitBudgetExceeded,
     MultiplierChain,
-    MultiplierFunc,
+    PivotSequence,
     TwoPowerExponent,
     make_pivots,
     parse_descriptor,
@@ -120,14 +120,30 @@ def test_two_power_terms_match_exponents(text, exponent):
         assert seq.term(n) == 2 ** exponent(n)
 
 
-def test_multiplier_func_descriptor():
-    seq = make_pivots(MultiplierFunc(lambda step: step + 1, name="step+1"))
-    assert seq.terms(4) == [1, 2, 6, 24]
-    assert seq.cycle_product() is None
-    assert seq.term(6) == 5040  # step + 1 multipliers give (n + 1)!, not a power of two
-    bad = make_pivots(MultiplierFunc(lambda step: 1))
-    with pytest.raises(ValueError):
-        bad.term(1)
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        (MultiplierChain((2, 1)), "multipliers must be integers >= 2, got 1"),
+        (TwoPowerExponent("poly", (1, -1)), "exponent form 'poly:1,-1' is not strictly increasing at n=1"),
+    ],
+    ids=["chain:2,1", "poly:1,-1"],
+)
+def test_a_sequence_refuses_its_descriptor_when_built(descriptor, message):
+    # not only through make_pivots, and not first at the term that breaks
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PivotSequence(descriptor)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_pivots(descriptor)
+
+
+def test_a_sequence_refuses_what_is_not_a_descriptor():
+    with pytest.raises(TypeError, match=r"^not a pivot descriptor: 'linear'$"):
+        PivotSequence("linear")
+
+
+def test_cycle_product_is_the_prime_support():
+    assert make_pivots("square").cycle_product() == 2
+    assert make_pivots("chain:2,3,2").cycle_product() == 12
 
 
 def test_bit_budget_guard():
