@@ -194,9 +194,9 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
 
     The members are read with ``mask_positions`` off the masks of
     ``_member_sieve``; -k is a member exactly when k is. A b_n that cannot
-    be built raises before 0 is yielded, as in ``member_linear``. When a
-    uniform scan needs such a term (bit budget, invalid chain), the members
-    the existing terms decide are still yielded, and the error is raised at
+    be built raises before 0 is yielded, as in ``member_linear``. When the
+    bit budget refuses a term that a uniform scan needs, the members the
+    existing terms decide are still yielded, and the error is raised at
     the first k that needs the missing term, as ``member_direct`` would.
     """
     step, segments = _member_sieve(spec, window)
@@ -228,9 +228,8 @@ def _segments(count: int, conds: list, pivots: PivotSequence | None = None, m: i
 
     Given ``pivots``, conds is instead one (1, b_n, m) per chain term
     b_n < 4m * hi, so each segment grows the chain only as far as its end.
-    When a pivot term cannot be built (bit budget, invalid chain), the
-    segment is cut at the last k the existing terms decide, and the next
-    one raises the error.
+    When the bit budget refuses a pivot term, the segment is cut at the
+    last k the existing terms decide, and the next one raises the error.
     """
     lo = 1
     while lo <= count:
@@ -238,7 +237,7 @@ def _segments(count: int, conds: list, pivots: PivotSequence | None = None, m: i
         if pivots is not None:
             try:
                 terms = pivots.terms_until(4 * m * hi)
-            except (BitBudgetExceeded, ValueError):
+            except BitBudgetExceeded:
                 terms = pivots.terms_until(1)  # the terms built before the failure
                 hi = terms[-1] // (4 * m)  # the last k those terms decide
                 if hi < lo:

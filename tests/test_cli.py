@@ -436,6 +436,13 @@ def test_malformed_chain_descriptor_names_itself(capsys):
     assert err == "ztop: pivot descriptor 'chain:2,x' needs comma-separated integers\n"
 
 
+def test_polynomial_chain_with_a_negative_coefficient_is_refused(capsys):
+    # a_n = 2n^2 - n increases, but only nonnegative coefficients are taken
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "poly:-1,2", "--l", "100")
+    assert (status, out) == (2, "")
+    assert err == "ztop: exponent form 'poly:-1,2' needs integer coefficients >= 0, not all 0\n"
+
+
 def test_missing_option_names_the_flag(capsys):
     # the flags --l and --x store under other names (l_value, xs)
     status, out, err = run_cli(capsys, "decompose", "--pivots", "linear")

@@ -26,8 +26,6 @@ from ztop.neighborhoods import Linear, Uniform, member_direct
 from ztop.pivots import BitBudgetExceeded, make_pivots
 from ztop.torus import canonicalize, check_positive_int, in_arc
 
-HALF = canonicalize(Fraction(1, 2))
-
 
 def test_eval_sequence_examples(square):
     assert eval_sequence(make_sequence("pow2"), 5) == 32
@@ -118,13 +116,24 @@ def test_prefix_test_inconclusive_on_budget():
     assert verdict.note
 
 
-def test_falsify_uniform_pivothalf(square):
-    seq = make_sequence("pivothalf", square)
-    witnesses = falsify_uniform(seq, square, 1, 30)
-    assert [w.j for w in witnesses] == list(range(1, 31))
+@pytest.mark.parametrize(
+    "text", ["linear", "square", "factorial", "pow2", "poly:1,1", "chain:2,3", "chain:3", "chain:3,2"]
+)
+def test_falsify_uniform_pivothalf(text):
+    # the half-ratio sequence leaves U_1 at every j, on any chain: l_j lies in
+    # b_j * Z and first leaves the arc at n = j + 1, at floor(r/2) / r for
+    # r = b_{j+1} / b_j (-1/2 for an even r, 1/3 for r = 3)
+    horizon = 6 if text in ("factorial", "pow2") else 12
+    pivots = make_pivots(text)
+    seq = make_sequence("pivothalf", pivots)
+    witnesses = falsify_uniform(seq, pivots, 1, horizon)
+    assert [w.j for w in witnesses] == list(range(1, horizon + 1))
     for w in witnesses:
+        b_j, b_next = pivots.term(w.j), pivots.term(w.j + 1)
+        assert eval_sequence(seq, w.j) % b_j == 0
         assert w.n == w.j + 1
-        assert w.value == HALF
+        r = b_next // b_j
+        assert w.value == canonicalize(Fraction(r // 2, r))
 
 
 def test_falsify_uniform_empty(square):

@@ -36,7 +36,6 @@ with and without a step. Hand-built digit lists stop where the chain's bit
 budget does.
 """
 
-import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -1032,24 +1031,6 @@ def test_window_scan_under_the_bit_budget(monkeypatch, size):
     assert str(exc.value) == str(direct.value) == "term b_5 of 'factorial' needs 121 bits (budget 64)"
     spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
     assert continuity_window_check(character("1/7"), spec, 10**7) == (False, 4)
-
-
-# a_n = n for n <= 8, then a_9 = 9 - 9!: the probe accepts the form, and only
-# growth past b_8 = 2^8 finds that it falls
-FALLING_POLY = "poly:-40319,109584,-118124,67284,-22449,4536,-546,36,-1"
-
-
-def test_window_scan_on_a_chain_that_stops_increasing():
-    # the one invalid chain left to build: the window is cut where the bit
-    # budget would cut it, at the last k that b_0..b_8 decide (2^8 / 4)
-    message = f"^exponent form '{re.escape(FALLING_POLY)}' is not strictly increasing at n=9$"
-    members = iter_members(NeighborhoodSpec(make_pivots(FALLING_POLY), Uniform(1)), 1000)
-    assert next(members) == 0
-    with pytest.raises(ValueError, match=message):
-        next(members)
-    assert not member_direct(64, make_pivots(FALLING_POLY), 1)
-    with pytest.raises(ValueError, match=message):
-        member_direct(65, make_pivots(FALLING_POLY), 1)
 
 
 def test_continuity_window_check_stops_in_the_first_segment():

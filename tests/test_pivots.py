@@ -55,21 +55,6 @@ def test_horner_exponents_equal_the_closed_form(text):
         assert descriptor.exponent(n) == sum(c * n ** (i + 1) for i, c in enumerate(descriptor.coeffs))
 
 
-def test_polynomial_exponents_are_refused_lazily_where_they_fall():
-    # a_n = 100n - n^2 rises up to n = 50 (a_50 = 2500), past the probe
-    # prefix, and a_51 = 2499
-    chain = make_pivots("poly:100,-1")
-    assert chain.term(50) == 2**2500
-    with pytest.raises(ValueError, match=r"^exponent form 'poly:100,-1' is not strictly increasing at n=51$"):
-        chain.term(51)
-    # a_n = 98n - 2n^2 repeats itself: a_24 = a_25 = 1200
-    flat = make_pivots("poly:98,-2")
-    assert flat.term(24) == 2**1200
-    with pytest.raises(ValueError, match=r"^exponent form 'poly:98,-2' is not strictly increasing at n=25$"):
-        flat.term(25)
-    assert flat.terms_until(1) == [1 << (98 * n - 2 * n * n) for n in range(25)]
-
-
 def test_descriptor_parsing():
     assert parse_descriptor("square") == TwoPowerExponent("square")
     assert parse_descriptor("chain:2,3,2") == MultiplierChain((2, 3, 2))
@@ -120,13 +105,26 @@ def test_two_power_terms_match_exponents(text, exponent):
         assert seq.term(n) == 2 ** exponent(n)
 
 
+def refused_poly(*coeffs):
+    poly = TwoPowerExponent("poly", coeffs)
+    message = f"exponent form {poly.text!r} needs integer coefficients >= 0, not all 0"
+    return pytest.param(poly, message, id=poly.text)
+
+
 @pytest.mark.parametrize(
     "descriptor, message",
     [
-        (MultiplierChain((2, 1)), "multipliers must be integers >= 2, got 1"),
-        (TwoPowerExponent("poly", (1, -1)), "exponent form 'poly:1,-1' is not strictly increasing at n=1"),
+        pytest.param(MultiplierChain((2, 1)), "multipliers must be integers >= 2, got 1", id="chain:2,1"),
+        refused_poly(1, -1),
+        refused_poly(1.5),
+        refused_poly(True),
+        # increasing (2n^2 - n), or rising and then falling or flat past n = 8
+        refused_poly(-1, 2),
+        refused_poly(100, -1),
+        refused_poly(98, -2),
+        refused_poly(0),
+        refused_poly(),
     ],
-    ids=["chain:2,1", "poly:1,-1"],
 )
 def test_a_sequence_refuses_its_descriptor_when_built(descriptor, message):
     # not only through make_pivots, and not first at the term that breaks
