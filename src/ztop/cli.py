@@ -118,8 +118,8 @@ def _write(text: str, output: str | None):
 def _no_int_digit_limit():
     """Lift the interpreter's limit on int <-> str conversion, where it has
     one, and put the previous limit back afterwards. Exact rationals from a
-    chain can have more decimal digits than the default 4,300; the bit
-    budget already bounds their size."""
+    chain, and integer options, can have more decimal digits than the
+    default 4,300; the bit budget already bounds their size."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -449,6 +449,11 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    with _no_int_digit_limit():
+        return _main(argv)
+
+
+def _main(argv):
     parser, options = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -467,9 +472,8 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     try:
         settings = _Settings(args.command, args, config, options[args.command])
-        with _no_int_digit_limit():
-            report, status = _RUNNERS[args.command](settings)
-            _write(report.render(), settings.get("output"))
+        report, status = _RUNNERS[args.command](settings)
+        _write(report.render(), settings.get("output"))
         return status
     except BitBudgetExceeded as exc:
         print(f"ztop: bit budget exceeded: {exc}", file=sys.stderr)

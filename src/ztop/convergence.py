@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Optional
 from ztop._kernels import first_arc_exit, trailing_zeros, wrap_half
 from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform, member_linear
 from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
-from ztop.torus import TorusPoint, check_level, check_positive_int
+from ztop.torus import TorusPoint, check_int, check_level, check_positive_int
 
 FAMILIES = (
     "pow2",
@@ -78,10 +78,11 @@ class IntegerSequence(NamedTuple):
 
     ``pivots`` feeds the chain-derived families (geomdiff, wgeomdiff,
     pivothalf, pivotsucc). ``fn`` backs the programmatic ``custom`` family,
-    which has no CLI text form. ``bit_budget`` caps the terms of the
-    two-power families (pow2, blockexample); ``make_sequence`` resolves it
-    once, because those terms are evaluated thousands of times per
-    ``verify-paper`` run and reading ZTOP_BIT_BUDGET for each one is slower.
+    which has no CLI text form; its terms must be ints. ``bit_budget`` caps
+    the terms of the two-power families (pow2, blockexample);
+    ``make_sequence`` resolves it once, because those terms are evaluated
+    thousands of times per ``verify-paper`` run and reading ZTOP_BIT_BUDGET
+    for each one is slower.
     """
 
     family: str
@@ -115,7 +116,7 @@ def eval_sequence(seq: IntegerSequence, j: int) -> int:
     if fam == "zero":
         return 0
     if fam == "custom":
-        return int(seq.fn(j))
+        return check_int(seq.fn(j), "custom term")
     if fam == "pow2":
         _check_shift(seq, j)
         return 1 << j

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from ztop._kernels import coefficient_checks, decompose_digits
 from ztop.pivots import PivotSequence
-from ztop.torus import exact_rational
+from ztop.torus import check_int, exact_rational
 
 
 def nearest_int(q) -> int:
@@ -94,11 +94,13 @@ def coefficients_from_digits(
     source: int | None = None,
 ) -> PivotCoefficients:
     """Wrap a hand-built digit list for checking; ``source`` defaults to the
-    recomposed value, so sum_ok is then trivially true."""
-    digits = tuple(int(d) for d in digits)
+    recomposed value, so sum_ok is then trivially true. A digit or source
+    that is not an int (a bool, a float, a Fraction) is refused, not
+    truncated."""
+    digits = tuple(check_int(d, "digit") for d in digits)
     if source is None:
         source = sum(k * pivots.term(n) for n, k in enumerate(digits))
-    return PivotCoefficients(int(source), digits, pivots, None)
+    return PivotCoefficients(check_int(source, "source"), digits, pivots, None)
 
 
 def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:

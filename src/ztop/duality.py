@@ -4,10 +4,11 @@ chain topologies.
 A character is determined by its value at 1, kept as a canonical circle
 point p/q. Such a character kills the subgroup b_n * Z exactly when q
 divides b_n, so continuity for the linear topology reduces to a
-divisibility search along the chain; the same search decides membership in
-the subgroup generated by the chain's unit fractions {1/b_n}. It refuses a
-denominator with a prime outside the chain's support, and otherwise stops
-at a divisor or at a term over the bit budget. For the uniform topology
+divisibility search along the chain, ``kernel_check``, which also decides
+membership in the subgroup generated by the chain's unit fractions
+{1/b_n}. One modular power refuses a denominator with a prime outside the
+chain's support; otherwise the scan stops at a divisor or at a term over
+the bit budget. For the uniform topology
 only a finite-window necessary check is available (the
 character must map window members of the neighbourhood into the quarter
 arc); passing it is evidence, not proof, of continuity. That check does
@@ -26,7 +27,7 @@ import itertools
 import math
 from typing import NamedTuple, Optional
 
-from ztop._kernels import arc_sieve, trailing_zeros
+from ztop._kernels import arc_sieve, divides, trailing_zeros
 from ztop.neighborhoods import NeighborhoodSpec, _member_sieve
 from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import TorusPoint, canonicalize, int_scale
@@ -72,36 +73,6 @@ class KernelCheck(NamedTuple):
     certificate: str
 
 
-def _support_covers(q: int, cycle_product: int) -> bool:
-    """Whether every prime of q divides the chain's multiplier cycle."""
-    r = q
-    while r > 1:
-        g = math.gcd(r, cycle_product)
-        if g == 1:
-            return False
-        while g > 1:
-            r //= g
-            g = math.gcd(r, cycle_product)
-    return True
-
-
-def _denominator_divides(q: int, pivots: PivotSequence):
-    """Least n with q | b_n, else a (False, None, certificate) verdict. A
-    support that covers q makes some b_n a multiple of q, so the scan ends
-    at that divisor or at a term over the bit budget."""
-    if q == 1:
-        return True, 0, CERT_DIVISOR
-    if not _support_covers(q, pivots.cycle_product()):
-        return False, None, CERT_PRIME_SUPPORT
-    for n in itertools.count():
-        try:
-            b = pivots.term(n)
-        except BitBudgetExceeded:
-            return False, None, CERT_BUDGET
-        if b % q == 0:
-            return True, n, CERT_DIVISOR
-
-
 def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
     """Decide whether chi is continuous for the linear chain topology.
 
@@ -109,25 +80,36 @@ def kernel_check(chi: Character, pivots: PivotSequence) -> KernelCheck:
     chain term; the least such index is returned (its subgroup lies in the
     kernel of chi). Negatives certified through the prime support are
     definitive; budget-exhausted negatives (a term over the bit budget before
-    any divisor) are inconclusive.
+    any divisor) are inconclusive. This is the one scan of the chain for a
+    multiple of the denominator.
     """
-    found, n, cert = _denominator_divides(chi.denominator, pivots)
-    return KernelCheck(found, n, cert)
+    q = chi.denominator
+    # every prime of q divides the cycle product P exactly when q | P^e for
+    # an e at least as large as each exponent in q; each is below
+    # q.bit_length(), so below this e. q = 1 passes (x mod 1 is 0), and
+    # b_0 = 1 is its divisor.
+    if pow(pivots.cycle_product(), 1 << q.bit_length().bit_length(), q):
+        return KernelCheck(False, None, CERT_PRIME_SUPPORT)
+    for n in itertools.count():
+        try:
+            b = pivots.term(n)
+        except BitBudgetExceeded:
+            return KernelCheck(False, None, CERT_BUDGET)
+        if divides(q, b):  # a mask on a two-power chain, where q is 2^v
+            return KernelCheck(True, n, CERT_DIVISOR)
 
 
 def generated_member(x: TorusPoint, pivots: PivotSequence) -> bool:
     """Whether x lies in the subgroup of the circle generated by the chain's
     unit fractions {1/b_n}; for divisibility chains this means the reduced
-    denominator of x divides some b_n: ``kernel_check``'s search.
+    denominator of x divides some b_n: ``kernel_check`` of x.
 
     Raises BitBudgetExceeded when the search is inconclusive (a term over
     the bit budget before any divisor).
     """
-    found, _, cert = _denominator_divides(x.rep.denominator, pivots)
-    if not found and cert == CERT_BUDGET:
-        raise BitBudgetExceeded(
-            f"no chain term divisible by {x.rep.denominator} within budget"
-        )
+    found, _, cert = kernel_check(Character(x), pivots)
+    if cert == CERT_BUDGET:
+        raise BitBudgetExceeded(f"no chain term divisible by {x.rep.denominator} within budget")
     return found
 
 

@@ -130,14 +130,17 @@ def resolve_bit_budget(bit_budget: int | None = None) -> int:
 
 
 def _check_descriptor(descriptor: PivotDescriptor):
-    """Refuse a descriptor that builds no chain: an unknown exponent form, a
-    polynomial form whose coefficients are not integers >= 0, not all 0, or
-    a multiplier list that is empty or holds a value below 2. Every chain
-    that passes increases strictly, so growth checks only the bit budget."""
+    """Refuse a descriptor that builds no chain: an unknown exponent form,
+    coefficients on a form other than ``poly``, a polynomial form whose
+    coefficients are not integers >= 0, not all 0, or a multiplier list that
+    is empty or holds a value below 2. Every chain that passes increases
+    strictly, so growth checks only the bit budget."""
     if isinstance(descriptor, TwoPowerExponent):
         if descriptor.form not in EXPONENT_FORMS:
             raise ValueError(f"unknown exponent form {descriptor.form!r}")
         coeffs = descriptor.coeffs
+        if descriptor.form != "poly" and coeffs:
+            raise ValueError(f"exponent form {descriptor.form!r} takes no coefficients, got {coeffs!r}")
         if descriptor.form == "poly" and not (
             all(type(c) is int and c >= 0 for c in coeffs) and any(coeffs)
         ):

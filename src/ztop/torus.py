@@ -85,6 +85,13 @@ def int_scale(k: int, x: TorusPoint) -> TorusPoint:
     return canonicalize(k * x.rep)
 
 
+def check_int(value, what: str) -> int:
+    """``value`` if it is an int; a bool, a float or a Fraction is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def check_positive_int(value, what: str) -> int:
     """``value`` if it is an int >= 1; bools, floats and other types are
     refused rather than truncated."""

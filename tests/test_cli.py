@@ -151,13 +151,20 @@ def test_dual_report(capsys):
     ids=["divisor", "prime-support", "scan-limit", "bit-budget"],
 )
 def test_dual_searches_the_chain_once(capsys, monkeypatch, pivots, chi, budget, generated):
-    # generated_member is the kernel check's search again; the row reads it
-    # off the one search, None where that search ends without a certificate
+    # generated_member is kernel_check again; the row reads it off the one
+    # check, None where that check ends without a certificate. Both bindings
+    # are counted, so a second check through the library would show.
     if budget is not None:
         monkeypatch.setenv("ZTOP_BIT_BUDGET", budget)
     calls = []
-    search = duality._denominator_divides
-    monkeypatch.setattr(duality, "_denominator_divides", lambda *args: calls.append(args) or search(*args))
+    search = duality.kernel_check
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(duality, "kernel_check", counted)
+    monkeypatch.setattr(cli, "kernel_check", counted)
     status, out, _ = run_cli(capsys, "dual", "--pivots", pivots, "--chi", chi)
     assert (status, len(calls)) == (0, 1)
     assert parse_ndjson(out)[1][0]["generated_member"] is generated
@@ -544,6 +551,36 @@ def test_exact_rationals_print_past_the_int_str_digit_limit(capsys):
         assert (numerator, int(denominator)) == ("1", 2**16384)
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit")
+def test_a_long_integer_option_is_honoured_in_all_three_spellings(capsys, tmp_path):
+    # 5,000 digits, past the interpreter's default int <-> str limit of 4,300:
+    # as a flag, a JSON number and a JSON string, read inside the lifted limit
+    digits = "1" + "0" * 4999
+    number = tmp_path / "number.json"
+    number.write_text('{"l": %s}' % digits)
+    text = tmp_path / "text.json"
+    text.write_text(json.dumps({"l": digits}))
+    flag = run_cli(capsys, "decompose", "--pivots", "linear", "--l", digits)
+    assert (flag[0], flag[2]) == (0, "")
+    assert run_cli(capsys, "--config", str(number), "decompose", "--pivots", "linear") == flag
+    assert run_cli(capsys, "--config", str(text), "decompose", "--pivots", "linear") == flag
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int->str digit limit")
+def test_main_puts_the_int_str_digit_limit_back(capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)  # a value main itself never sets
+    try:
+        assert run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):  # argparse's exit on a bad flag value
+            main(["decompose", "--pivots", "linear", "--l", "x"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
+    capsys.readouterr()
 
 
 def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):

@@ -37,6 +37,14 @@ def test_eval_sequence_examples(square):
     assert eval_sequence(make_sequence("custom", fn=lambda j: 3 * j), 7) == 21
 
 
+@pytest.mark.parametrize("value", [Fraction(7, 2), 2.9, True, Fraction(3)], ids=repr)
+def test_custom_terms_that_are_not_ints_are_refused(value):
+    # int() would evaluate Fraction(7, 2) to 3 and 2.9 to 2
+    seq = make_sequence("custom", fn=lambda j: value)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'custom term must be an integer, got {value!r}')}$"):
+        eval_sequence(seq, 1)
+
+
 def test_blockexample_values():
     seq = make_sequence("blockexample")
     # exceptional indices n^2 - 2 carry 2^(n^2), everything else 2^j

@@ -81,6 +81,23 @@ def test_recompose_and_check_examples(square, linear):
     assert not recompose_and_check(lying).sum_ok
 
 
+@pytest.mark.parametrize(
+    "digits, source, bad",
+    [([1], 1.9, "source must be an integer, got 1.9"),
+     ([1], Fraction(1), "source must be an integer, got Fraction(1, 1)"),
+     ([1], True, "source must be an integer, got True"),
+     ([1.5, True], None, "digit must be an integer, got 1.5"),
+     ([1, True], None, "digit must be an integer, got True"),
+     ([Fraction(3, 2)], 1, "digit must be an integer, got Fraction(3, 2)")],
+    ids=["float-source", "Fraction-source", "bool-source", "float-digit", "bool-digit",
+         "Fraction-digit"],
+)
+def test_hand_built_digits_refuse_what_is_not_an_int(linear, digits, source, bad):
+    # int() would truncate 1.9 to a source that the digit 1 recomposes to
+    with pytest.raises(ValueError, match=f"^{re.escape(bad)}$"):
+        coefficients_from_digits(digits, linear, source=source)
+
+
 def test_trailing_zeros_equivalent(square):
     trimmed = recompose_and_check(decompose(128, square))
     padded = recompose_and_check(coefficients_from_digits([0, 0, 8, 0], square, source=128))

@@ -87,6 +87,48 @@ def test_kernel_search_runs_past_512_terms_where_the_support_is_known(descriptor
     assert generated_member(chi.value, pivots)
 
 
+def reference_kernel(q, pivots):
+    """kernel_check's verdict for 1/q, found independently: the primes of q
+    by trial division against the cycle product, then the least n with q | b_n
+    by plain remainders."""
+    cycle, r, p = pivots.cycle_product(), q, 2
+    while p * p <= r:
+        if r % p == 0:
+            if cycle % p:
+                return (False, None, CERT_PRIME_SUPPORT)
+            while r % p == 0:
+                r //= p
+        p += 1
+    if r > 1 and cycle % r:
+        return (False, None, CERT_PRIME_SUPPORT)
+    n = 0
+    while pivots.term(n) % q:
+        n += 1
+    return (True, n, CERT_DIVISOR)
+
+
+@pytest.mark.parametrize("descriptor", ["linear", "pow2", "poly:1,1", "chain:5", "chain:3,2", "chain:4,6,5"])
+def test_kernel_check_agrees_with_trial_division(descriptor):
+    pivots = make_pivots(descriptor)
+    for q in range(1, 2001):
+        assert kernel_check(character(Fraction(1, q)), pivots) == reference_kernel(q, pivots), q
+
+
+def test_a_huge_denominator_outside_the_support_is_refused_at_once():
+    # 7 is outside the support {2, 3}; the search builds no term to say so
+    pivots = make_pivots("chain:2,3")
+    chi = character(Fraction(1, 7 * 3**63000))
+    assert kernel_check(chi, pivots) == (False, None, CERT_PRIME_SUPPORT)
+    assert pivots.terms_until(1) == [1]
+
+
+def test_generated_member_names_the_denominator_it_could_not_place():
+    short = make_pivots("linear", bit_budget=64)
+    message = f"no chain term divisible by {2**100} within budget"
+    with pytest.raises(BitBudgetExceeded, match=f"^{re.escape(message)}$"):
+        generated_member(canonicalize(Fraction(1, 2**100)), short)
+
+
 def test_generated_member_examples(square):
     assert generated_member(canonicalize(Fraction(1, 8)), square)  # 1/8 = 64/512
     assert not generated_member(canonicalize(Fraction(1, 3)), square)

@@ -111,6 +111,12 @@ def refused_poly(*coeffs):
     return pytest.param(poly, message, id=poly.text)
 
 
+def refused_coefficients(form, *coeffs):
+    # the text would name the plain form, and parse back without them
+    message = f"exponent form {form!r} takes no coefficients, got {coeffs!r}"
+    return pytest.param(TwoPowerExponent(form, coeffs), message, id=f"{form}{list(coeffs)}")
+
+
 @pytest.mark.parametrize(
     "descriptor, message",
     [
@@ -124,6 +130,10 @@ def refused_poly(*coeffs):
         refused_poly(98, -2),
         refused_poly(0),
         refused_poly(),
+        refused_coefficients("linear", 1, 2),
+        refused_coefficients("square", 1),
+        refused_coefficients("factorial", 0),
+        refused_coefficients("pow2", 2, 3),
     ],
 )
 def test_a_sequence_refuses_its_descriptor_when_built(descriptor, message):
@@ -132,6 +142,22 @@ def test_a_sequence_refuses_its_descriptor_when_built(descriptor, message):
         PivotSequence(descriptor)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make_pivots(descriptor)
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [TwoPowerExponent(form) for form in ("linear", "square", "factorial", "pow2")]
+    + [TwoPowerExponent(form, (1, 2)) for form in ("linear", "square", "factorial", "pow2")]
+    + [TwoPowerExponent("poly", (1, 1)), TwoPowerExponent("poly", (0, 2)),
+       MultiplierChain((2, 3)), MultiplierChain((4, 6, 5))],
+    ids=repr,
+)
+def test_a_built_sequence_text_parses_back_to_its_descriptor(descriptor):
+    try:
+        seq = PivotSequence(descriptor)
+    except ValueError:
+        return  # what is refused has no text to read back
+    assert parse_descriptor(seq.text) == seq.descriptor
 
 
 def test_a_sequence_refuses_what_is_not_a_descriptor():

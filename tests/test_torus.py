@@ -10,8 +10,10 @@ from ztop.torus import (
     TorusPoint,
     add,
     canonicalize,
+    check_int,
     check_level,
     check_nonnegative_int,
+    check_positive_int,
     in_arc,
     int_scale,
     parse_rational,
@@ -102,6 +104,21 @@ def test_check_level_rejects_non_levels(level):
 def test_check_nonnegative_int_rejects_non_indices(value):
     with pytest.raises(ValueError, match=re.escape(f"index must be an integer >= 0, got {value!r}")):
         check_nonnegative_int(value, "index")
+
+
+NOT_INTS = [True, False, 2.9, 3.0, Fraction(7, 2), Fraction(3), Decimal(3), "3", None]
+
+
+@pytest.mark.parametrize("value", NOT_INTS, ids=repr)
+def test_integer_checks_refuse_what_is_not_an_int(value):
+    # refused, bools included, never truncated to a neighbouring integer
+    with pytest.raises(ValueError, match=re.escape(f"term must be an integer, got {value!r}")):
+        check_int(value, "term")
+    with pytest.raises(ValueError, match=re.escape(f"term must be a positive integer, got {value!r}")):
+        check_positive_int(value, "term")
+    with pytest.raises(ValueError, match=re.escape(f"term must be an integer >= 0, got {value!r}")):
+        check_nonnegative_int(value, "term")
+
 
 @given(rationals)
 def test_canonicalize_idempotent(q):
