@@ -15,12 +15,13 @@ returns an explicit Verdict over a horizon:
 * ``inconclusive`` -- the scan hit the chain's bit budget before the
   horizon.
 
-``prefix_test`` and ``falsify_uniform`` share one witness scan, which
-evaluates l_j in order of j, so a budget refusal keeps the witnesses found
-before it. Uniform witnesses come from the kernel ``first_arc_exit``, which
-reduces l_j down the chain by a residue ladder, each step a division
-between neighbouring terms, and stops at a zero residue.
-``peak_decay_report`` evaluates each l_j once.
+``prefix_test``, ``falsify_uniform`` and the cross-check of
+``peak_decay_report`` share one witness scan, which evaluates l_j in order
+of j, so a budget refusal keeps the witnesses found before it. Uniform
+witnesses come from the kernel ``first_arc_exit``, which reduces l_j down
+the chain by a residue ladder, each step a division between neighbouring
+terms, and stops at a zero residue. ``peak_decay_report`` evaluates each
+l_j once.
 
 Chain terms reach 10^5-10^6 bits, and CPython divides such integers by
 schoolbook long division, at a cost of the quotient's size times the
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -73,22 +75,34 @@ FAMILIES = (
 _NEEDS_PIVOTS = {"geomdiff", "wgeomdiff", "pivothalf", "pivotsucc"}
 
 
-class IntegerSequence(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class IntegerSequence:
     """A named integer sequence l_1, l_2, ... with exact evaluation.
 
     ``pivots`` feeds the chain-derived families (geomdiff, wgeomdiff,
-    pivothalf, pivotsucc). ``fn`` backs the programmatic ``custom`` family,
-    which has no CLI text form; its terms must be ints. ``bit_budget`` caps
-    the terms of the two-power families (pow2, blockexample);
-    ``make_sequence`` resolves it once, because those terms are evaluated
-    thousands of times per ``verify-paper`` run and reading ZTOP_BIT_BUDGET
-    for each one is slower.
+    pivothalf, pivotsucc), which are refused without it. ``fn`` backs the
+    programmatic ``custom`` family, which has no CLI text form; its terms
+    must be ints. ``bit_budget`` caps the terms of the two-power families
+    (pow2, blockexample): the chain's budget, else ZTOP_BIT_BUDGET, else the
+    default, resolved once when built, because those terms are evaluated
+    thousands of times per ``verify-paper`` run.
     """
 
     family: str
     pivots: Optional[PivotSequence] = None
     fn: Optional[Callable[[int], int]] = None
-    bit_budget: Optional[int] = None
+    bit_budget: int = field(init=False)
+
+    def __post_init__(self):
+        if self.family == "custom":
+            if self.fn is None:
+                raise ValueError("custom sequences need a callable")
+        elif self.family not in FAMILIES:
+            raise ValueError(f"unknown sequence family {self.family!r}")
+        elif self.family in _NEEDS_PIVOTS and self.pivots is None:
+            raise ValueError(f"family {self.family!r} is defined over a pivot chain")
+        budget = resolve_bit_budget() if self.pivots is None else self.pivots.bit_budget
+        object.__setattr__(self, "bit_budget", budget)
 
 
 def make_sequence(
@@ -96,15 +110,7 @@ def make_sequence(
     pivots: PivotSequence | None = None,
     fn: Callable[[int], int] | None = None,
 ) -> IntegerSequence:
-    if family == "custom":
-        if fn is None:
-            raise ValueError("custom sequences need a callable")
-        return IntegerSequence("custom", pivots, fn)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown sequence family {family!r}")
-    if family in _NEEDS_PIVOTS and pivots is None:
-        raise ValueError(f"family {family!r} is defined over a pivot chain")
-    return IntegerSequence(family, pivots, fn, _sequence_budget(pivots))
+    return IntegerSequence(family, pivots, fn)
 
 
 def eval_sequence(seq: IntegerSequence, j: int) -> int:
@@ -140,22 +146,12 @@ def eval_sequence(seq: IntegerSequence, j: int) -> int:
         if lo & -lo == hi & -hi:
             return (hi - lo) >> 1
         return hi >> 1
-    if fam == "pivotsucc":
-        return b(j + 1)
-    raise ValueError(f"unknown sequence family {fam!r}")
-
-
-def _sequence_budget(pivots):
-    """The chain's bit budget, else ZTOP_BIT_BUDGET, else the default."""
-    return pivots.bit_budget if pivots is not None else resolve_bit_budget()
+    return b(j + 1)  # pivotsucc
 
 
 def _check_shift(seq, width):
-    budget = seq.bit_budget
-    if budget is None:  # built directly, not through make_sequence
-        budget = _sequence_budget(seq.pivots)
-    if width + 1 > budget:
-        raise BitBudgetExceeded(f"term needs {width + 1} bits (budget {budget})")
+    if width + 1 > seq.bit_budget:
+        raise BitBudgetExceeded(f"term needs {width + 1} bits (budget {seq.bit_budget})")
 
 
 # -- membership scans with certificates -------------------------------------
@@ -172,12 +168,12 @@ class Witness(NamedTuple):
     value: Optional[TorusPoint]
 
 
-def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int):
-    """The Witness of every index j <= horizon whose term falls outside the
-    neighbourhood, in order of j. Each l_j is evaluated when the scan
+def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int, start: int = 1):
+    """The Witness of every start <= j <= horizon whose term falls outside
+    the neighbourhood, in order of j. Each l_j is evaluated when the scan
     reaches it, so a BitBudgetExceeded comes after every earlier witness."""
     pivots, family = spec.pivots, spec.family
-    for j in range(1, horizon + 1):
+    for j in range(start, horizon + 1):
         l = eval_sequence(seq, j)
         if isinstance(family, Linear):
             if not member_linear(l, pivots, family.n):
@@ -338,7 +334,7 @@ class PeakDecayEntry(NamedTuple):
     m: int
     applicable: bool
     settled_level: Optional[int]  # least n0 with S_n < 1/(4m) for all computed n >= n0
-    crosscheck_ok: Optional[bool]
+    crosscheck_ok: Optional[bool]  # None where not applicable or the scan was refused
 
 
 class PeakDecayReport(NamedTuple):
@@ -357,10 +353,11 @@ def peak_decay_report(
     which every computed peak stays below 1/(4m), or report the sufficient
     condition as not applicable.
 
-    When n0 exists the report cross-checks the implied membership: the
-    level-m prefix test must not certify failures at or beyond block n0.
-    The block statistics and these prefix tests read l_1..l_horizon from one
-    memo, so each term is evaluated once per report.
+    When n0 exists the report cross-checks the implied membership: it scans
+    j from block n0's first index to the horizon for a level-m witness, and
+    is false at the first one, None at a budget refusal before it, and true
+    otherwise. The block statistics and these scans read l_1..l_horizon from
+    one memo, so each term is evaluated once per report.
     """
     seq = IntegerSequence("custom", pivots, functools.cache(functools.partial(eval_sequence, seq)))
     stats = block_statistics(seq, pivots, horizon, levels=levels)
@@ -382,8 +379,10 @@ def peak_decay_report(
             continue
         else:
             n0 = min(n for n in computed if n > last_bad)
-        first_j = stats.blocks[n0][0]
-        verdict = prefix_test(seq, NeighborhoodSpec(pivots, Uniform(m)), horizon)
-        cross = all(w.j < first_j for w in verdict.witnesses)
+        scan = _witnesses(seq, NeighborhoodSpec(pivots, Uniform(m)), horizon, stats.blocks[n0][0])
+        try:
+            cross = next(scan, None) is None
+        except BitBudgetExceeded:
+            cross = None
         entries.append(PeakDecayEntry(m, True, n0, cross))
     return PeakDecayReport(stats, tuple(entries))

@@ -78,9 +78,9 @@ def decompose(l: int, pivots: PivotSequence) -> PivotCoefficients:
     """Balanced digits of l over the chain; deterministic.
 
     Raises BitBudgetExceeded if reaching b_N >= |l| would blow the chain's
-    bit budget.
+    bit budget. An l that is not an int (a bool, a float) is refused.
     """
-    if l == 0:
+    if check_int(l, "l") == 0:
         return PivotCoefficients(0, (), pivots, None)
     al = -l if l < 0 else l
     terms = pivots.terms_until(al)

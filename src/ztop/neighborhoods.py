@@ -61,7 +61,7 @@ from ztop._kernels import (
 )
 from ztop.decomposition import PivotCoefficients, decompose
 from ztop.pivots import BitBudgetExceeded, PivotSequence
-from ztop.torus import check_level, check_nonnegative_int, check_positive_int, exact_rational
+from ztop.torus import check_int, check_level, check_nonnegative_int, check_positive_int, exact_rational
 
 # Most integers one arc_sieve call covers: a 64 KiB mask.
 SIEVE_SEGMENT = 1 << 16
@@ -95,6 +95,12 @@ class NeighborhoodSpec:
     pivots: PivotSequence
     family: Family
 
+    def __post_init__(self):
+        if not isinstance(self.pivots, PivotSequence):
+            raise ValueError(f"neighbourhood pivots must be a PivotSequence, got {self.pivots!r}")
+        if not isinstance(self.family, (Uniform, Linear)):
+            raise ValueError(f"neighbourhood family must be Uniform or Linear, got {self.family!r}")
+
     def describe(self) -> dict:
         if isinstance(self.family, Uniform):
             return {"pivots": self.pivots.text, "family": "uniform", "m": self.family.m}
@@ -104,6 +110,7 @@ class NeighborhoodSpec:
 def member_direct(k: int, pivots: PivotSequence, m: int) -> bool:
     """Uniform membership by scanning k/b_n for every index below the
     termination bound; k = 0 is always a member."""
+    check_int(k, "k")
     check_level(m)
     if k == 0:
         return True
@@ -115,6 +122,7 @@ def member_partial_sums(k: int, pivots: PivotSequence, m: int) -> bool:
     """Uniform membership via the balanced digits of k: the partial sums
     sum_{s<n} k_s b_s must stay within b_n/(4m) for every n. Agrees with
     member_direct on every input."""
+    check_int(k, "k")
     check_level(m)
     if k == 0:
         return True
@@ -179,7 +187,7 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
 
 def member_linear(k: int, pivots: PivotSequence, n: int) -> bool:
     """Whether k lies in the linear neighbourhood b_n * Z."""
-    return divides(pivots.term(check_nonnegative_int(n, "linear neighbourhood index")), k)
+    return divides(pivots.term(check_nonnegative_int(n, "linear neighbourhood index")), check_int(k, "k"))
 
 
 def member(k: int, spec: NeighborhoodSpec) -> bool:

@@ -12,8 +12,8 @@ Two descriptor kinds are supported:
   integer multipliers >= 2.
 
 Either way the chain's prime support is known: 2, or the primes of one
-multiplier period. A descriptor is checked when its ``PivotSequence`` is
-built.
+multiplier period. A descriptor checks itself when it is built, so every
+descriptor builds a chain.
 
 Terms are memoized lazily; a configurable bit budget (default 10**6 bits per
 term, overridable via the ZTOP_BIT_BUDGET environment variable) guards
@@ -49,6 +49,19 @@ class TwoPowerExponent:
     form: str
     coeffs: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        """Refuse what builds no chain; every form that passes increases
+        strictly, so growth checks only the bit budget."""
+        form, coeffs = self.form, self.coeffs
+        if form not in EXPONENT_FORMS:
+            raise ValueError(f"unknown exponent form {form!r}")
+        if type(coeffs) is not tuple:
+            raise ValueError(f"exponent coefficients must be a tuple, got {coeffs!r}")
+        if form != "poly" and coeffs:
+            raise ValueError(f"exponent form {form!r} takes no coefficients, got {coeffs!r}")
+        if form == "poly" and not (all(type(c) is int and c >= 0 for c in coeffs) and any(coeffs)):
+            raise ValueError(f"exponent form {self.text!r} needs integer coefficients >= 0, not all 0")
+
     def exponent(self, n: int) -> int:
         if self.form == "linear":
             return n
@@ -58,14 +71,11 @@ class TwoPowerExponent:
             return 0 if n == 0 else math.factorial(n)
         if self.form == "pow2":
             return 0 if n == 0 else 1 << n
-        if self.form == "poly":
-            # coefficients of n^1..n^d, by Horner's rule; no constant term,
-            # so a_0 = 0
-            a = 0
-            for c in reversed(self.coeffs):
-                a = (a + c) * n
-            return a
-        raise ValueError(f"unknown exponent form {self.form!r}")
+        # poly: c1..cd by Horner's rule; no constant term, so a_0 = 0
+        a = 0
+        for c in reversed(self.coeffs):
+            a = (a + c) * n
+        return a
 
     @property
     def text(self) -> str:
@@ -79,6 +89,15 @@ class MultiplierChain:
     """Descriptor for chains built from a periodically repeated multiplier list."""
 
     multipliers: tuple[int, ...]
+
+    def __post_init__(self):
+        if type(self.multipliers) is not tuple:
+            raise ValueError(f"multipliers must be a tuple, got {self.multipliers!r}")
+        if not self.multipliers:
+            raise ValueError("multiplier chain needs at least one multiplier")
+        for m in self.multipliers:
+            if not isinstance(m, int) or m < 2:
+                raise ValueError(f"multipliers must be integers >= 2, got {m!r}")
 
     def multiplier(self, step: int) -> int:
         return self.multipliers[(step - 1) % len(self.multipliers)]
@@ -129,34 +148,6 @@ def resolve_bit_budget(bit_budget: int | None = None) -> int:
     return budget
 
 
-def _check_descriptor(descriptor: PivotDescriptor):
-    """Refuse a descriptor that builds no chain: an unknown exponent form,
-    coefficients on a form other than ``poly``, a polynomial form whose
-    coefficients are not integers >= 0, not all 0, or a multiplier list that
-    is empty or holds a value below 2. Every chain that passes increases
-    strictly, so growth checks only the bit budget."""
-    if isinstance(descriptor, TwoPowerExponent):
-        if descriptor.form not in EXPONENT_FORMS:
-            raise ValueError(f"unknown exponent form {descriptor.form!r}")
-        coeffs = descriptor.coeffs
-        if descriptor.form != "poly" and coeffs:
-            raise ValueError(f"exponent form {descriptor.form!r} takes no coefficients, got {coeffs!r}")
-        if descriptor.form == "poly" and not (
-            all(type(c) is int and c >= 0 for c in coeffs) and any(coeffs)
-        ):
-            raise ValueError(
-                f"exponent form {descriptor.text!r} needs integer coefficients >= 0, not all 0"
-            )
-    elif isinstance(descriptor, MultiplierChain):
-        if not descriptor.multipliers:
-            raise ValueError("multiplier chain needs at least one multiplier")
-        for m in descriptor.multipliers:
-            if not isinstance(m, int) or m < 2:
-                raise ValueError(f"multipliers must be integers >= 2, got {m!r}")
-    else:
-        raise TypeError(f"not a pivot descriptor: {descriptor!r}")
-
-
 class PivotSequence:
     """Lazily evaluated, memoized divisibility chain b_0, b_1, b_2, ...
 
@@ -165,7 +156,8 @@ class PivotSequence:
     """
 
     def __init__(self, descriptor: PivotDescriptor, bit_budget: int | None = None):
-        _check_descriptor(descriptor)
+        if not isinstance(descriptor, (TwoPowerExponent, MultiplierChain)):
+            raise TypeError(f"not a pivot descriptor: {descriptor!r}")
         self.descriptor = descriptor
         self.bit_budget = resolve_bit_budget(bit_budget)
         self._memo: list[int] = [1]

@@ -68,6 +68,31 @@ def test_pow2_honours_bit_budget_env(monkeypatch):
         eval_sequence(IntegerSequence("pow2"), 200)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [(("geomdiff",), "family 'geomdiff' is defined over a pivot chain"),
+     (("bogus",), "unknown sequence family 'bogus'"),
+     (("custom",), "custom sequences need a callable")],
+    ids=["geomdiff", "bogus", "custom"],
+)
+def test_a_sequence_refuses_itself_when_built(args, message):
+    # not first with an AttributeError at its first term
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IntegerSequence(*args)
+
+
+def test_a_sequence_budget_is_resolved_when_built(monkeypatch):
+    with pytest.raises(TypeError):
+        IntegerSequence("pow2", bit_budget=10**9)
+    assert IntegerSequence("zero", make_pivots("square", bit_budget=77)).bit_budget == 77
+    monkeypatch.setenv("ZTOP_BIT_BUDGET", "64")
+    pow2 = IntegerSequence("pow2")
+    monkeypatch.delenv("ZTOP_BIT_BUDGET")
+    assert pow2.bit_budget == 64
+    with pytest.raises(BitBudgetExceeded, match=r"^term needs 65 bits \(budget 64\)$"):
+        eval_sequence(pow2, 64)
+
+
 def test_make_sequence_validation(square):
     with pytest.raises(ValueError):
         make_sequence("geomdiff")  # needs a chain
@@ -466,8 +491,31 @@ def test_peak_decay_report(square):
     assert all(e.applicable and e.settled_level == 1 for e in report.entries)
 
 
+def test_peak_decay_crosscheck_scans_from_block_n0():
+    # l_1 = 2^80 + 1 needs b_10 = 2^100 to scan, over a 100-bit budget, and
+    # lies before block n0 = 1 = [2, 2]; l_4 = 256 lies past the last block
+    # and leaves the level-1 arc at b_3 = 512, so the refusal before block
+    # n0 does not hide the witness after it
+    pivots = make_pivots("square", bit_budget=100)
+    values = [2**80 + 1, 2, 16, 256]
+    seq = make_sequence("custom", pivots, fn=lambda j: values[j - 1])
+    report = peak_decay_report(seq, pivots, len(values), thresholds=(1,))
+    assert report.stats.blocks == {0: (1, 1), 1: (2, 2)}
+    assert report.entries[0] == (1, True, 1, False)
+    with pytest.raises(BitBudgetExceeded):
+        falsify_uniform(seq, pivots, 1, 1)
+
+
+def test_peak_decay_crosscheck_is_none_where_the_scan_is_refused():
+    # l_8 = b_9 = 2^81 needs b_10 = 2^100 to scan, over a 100-bit budget,
+    # and no index before it leaves the arc
+    pivots = make_pivots("square", bit_budget=100)
+    report = peak_decay_report(make_sequence("pivotsucc", pivots), pivots, 8, thresholds=(1, 2))
+    assert [tuple(e) for e in report.entries] == [(1, True, 2, None), (2, True, 2, None)]
+
+
 def test_peak_decay_report_evaluates_each_term_once(square):
-    """block_statistics and the per-threshold prefix tests share one
+    """block_statistics and the per-threshold witness scans share one
     evaluation of l_1..l_horizon."""
     calls = []
 
@@ -477,7 +525,7 @@ def test_peak_decay_report_evaluates_each_term_once(square):
 
     seq = make_sequence("custom", square, fn=pivotsucc)
     report = peak_decay_report(seq, square, 20, thresholds=(1, 2, 3))
-    assert all(e.applicable for e in report.entries)  # each threshold runs a prefix test
+    assert all(e.applicable for e in report.entries)  # each threshold runs a witness scan
     assert sorted(calls) == list(range(1, 21))
 
 

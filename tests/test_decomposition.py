@@ -98,6 +98,13 @@ def test_hand_built_digits_refuse_what_is_not_an_int(linear, digits, source, bad
         coefficients_from_digits(digits, linear, source=source)
 
 
+@pytest.mark.parametrize("l", [True, False, 2.5, Fraction(4)], ids=repr)
+def test_decompose_refuses_an_l_that_is_not_an_int(square, l):
+    # True would give source=True, coeffs=(True,), and 2.5 would fail inside a kernel
+    with pytest.raises(ValueError, match=f"^{re.escape(f'l must be an integer, got {l!r}')}$"):
+        decompose(l, square)
+
+
 def test_trailing_zeros_equivalent(square):
     trimmed = recompose_and_check(decompose(128, square))
     padded = recompose_and_check(coefficients_from_digits([0, 0, 8, 0], square, source=128))

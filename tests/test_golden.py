@@ -13,7 +13,9 @@ between members (``square-linear-second-segment``, ``square-linear-passes``).
 The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 ``verify-paper`` learnt to name its check. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
-limit; before that it exited 2. ``<name>.stderr``, when present, holds its
+limit; before that it exited 2. The ``blocks-budget-square-pivotsucc`` case
+was saved when the peak-decay cross-check learnt to report a refused scan as
+null rather than as a pass. ``<name>.stderr``, when present, holds its
 error output (absent means none). Each header's ``config``, fed back through
 ``--config``, must print the same bytes. Any change to a verdict, a survivor list,
 a failing k or a budget refusal shows here.
@@ -110,6 +112,11 @@ CASES = {
     "blocks-budget-factorial-zero": (
         ["blocks", "--pivots", "factorial", "--sequence", "zero", "--horizon", "10",
          "--thresholds", "1,2"], "64", 0),
+    # the cross-check scans l_1..l_8 for both levels; l_8 = b_9 = 2^81 needs
+    # b_10 = 2^100, which takes 101 bits, so neither check is a pass
+    "blocks-budget-square-pivotsucc": (
+        ["blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "8",
+         "--thresholds", "1,2"], "100", 0),
 }
 
 

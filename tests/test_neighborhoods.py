@@ -145,6 +145,21 @@ def test_linear_index_must_be_an_int(square, n):
         member_linear(8, square, n)
 
 
+@pytest.mark.parametrize("k", [True, False, 2.5, Fraction(4), "4"], ids=repr)
+@pytest.mark.parametrize("route", [member_direct, member_partial_sums, member_linear], ids=lambda f: f.__name__)
+def test_membership_refuses_a_k_that_is_not_an_int(square, route, k):
+    # True would answer as 1, and 2.5 would fail inside a kernel
+    with pytest.raises(ValueError, match=f"^{re.escape(f'k must be an integer, got {k!r}')}$"):
+        route(k, square, 1)
+
+
+def test_a_spec_refuses_what_is_not_a_chain_or_a_family(square):
+    with pytest.raises(ValueError, match=r"^neighbourhood family must be Uniform or Linear, got 3$"):
+        NeighborhoodSpec(square, 3)
+    with pytest.raises(ValueError, match=r"^neighbourhood pivots must be a PivotSequence, got 'square'$"):
+        NeighborhoodSpec("square", Uniform(1))
+
+
 @pytest.mark.parametrize("window", [-1, True, False, 10.0, 10.5, "10"])
 @pytest.mark.parametrize("family", [Uniform(1), Linear(1)])
 def test_iter_members_window_must_be_an_int(square, family, window):

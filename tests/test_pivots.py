@@ -2,6 +2,8 @@ import re
 import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ztop.pivots import (
     BitBudgetExceeded,
@@ -106,21 +108,27 @@ def test_two_power_terms_match_exponents(text, exponent):
 
 
 def refused_poly(*coeffs):
-    poly = TwoPowerExponent("poly", coeffs)
-    message = f"exponent form {poly.text!r} needs integer coefficients >= 0, not all 0"
-    return pytest.param(poly, message, id=poly.text)
+    text = "poly:" + ",".join(str(c) for c in coeffs)
+    message = f"exponent form {text!r} needs integer coefficients >= 0, not all 0"
+    return pytest.param(TwoPowerExponent, ("poly", coeffs), message, id=text)
 
 
 def refused_coefficients(form, *coeffs):
     # the text would name the plain form, and parse back without them
     message = f"exponent form {form!r} takes no coefficients, got {coeffs!r}"
-    return pytest.param(TwoPowerExponent(form, coeffs), message, id=f"{form}{list(coeffs)}")
+    return pytest.param(TwoPowerExponent, (form, coeffs), message, id=f"{form}{list(coeffs)}")
 
 
 @pytest.mark.parametrize(
-    "descriptor, message",
+    "kind, args, message",
     [
-        pytest.param(MultiplierChain((2, 1)), "multipliers must be integers >= 2, got 1", id="chain:2,1"),
+        pytest.param(MultiplierChain, ((2, 1),), "multipliers must be integers >= 2, got 1", id="chain:2,1"),
+        pytest.param(MultiplierChain, ((),), "multiplier chain needs at least one multiplier", id="chain:"),
+        # a list would make the descriptor unhashable
+        pytest.param(MultiplierChain, ([2, 3],), "multipliers must be a tuple, got [2, 3]", id="chain[2, 3]"),
+        pytest.param(TwoPowerExponent, ("poly", [1, 1]), "exponent coefficients must be a tuple, got [1, 1]",
+                     id="poly[1, 1]"),
+        pytest.param(TwoPowerExponent, ("fibonacci",), "unknown exponent form 'fibonacci'", id="fibonacci"),
         refused_poly(1, -1),
         refused_poly(1.5),
         refused_poly(True),
@@ -136,28 +144,53 @@ def refused_coefficients(form, *coeffs):
         refused_coefficients("pow2", 2, 3),
     ],
 )
-def test_a_sequence_refuses_its_descriptor_when_built(descriptor, message):
-    # not only through make_pivots, and not first at the term that breaks
+def test_a_sequence_refuses_its_descriptor_when_built(kind, args, message):
+    # the descriptor refuses itself, so no sequence is ever built on it, and
+    # it is not first refused at the term that breaks
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        PivotSequence(descriptor)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        make_pivots(descriptor)
+        kind(*args)
+
+
+def test_parsed_text_is_refused_as_its_descriptor_is():
+    with pytest.raises(ValueError, match=r"^multipliers must be integers >= 2, got 1$"):
+        parse_descriptor("chain:1")
+    with pytest.raises(ValueError, match=r"^exponent form 'poly:0,0' needs integer coefficients >= 0, not all 0$"):
+        parse_descriptor("poly:0,0")
 
 
 @pytest.mark.parametrize(
     "descriptor",
     [TwoPowerExponent(form) for form in ("linear", "square", "factorial", "pow2")]
-    + [TwoPowerExponent(form, (1, 2)) for form in ("linear", "square", "factorial", "pow2")]
     + [TwoPowerExponent("poly", (1, 1)), TwoPowerExponent("poly", (0, 2)),
        MultiplierChain((2, 3)), MultiplierChain((4, 6, 5))],
     ids=repr,
 )
 def test_a_built_sequence_text_parses_back_to_its_descriptor(descriptor):
-    try:
-        seq = PivotSequence(descriptor)
-    except ValueError:
-        return  # what is refused has no text to read back
+    seq = PivotSequence(descriptor)
     assert parse_descriptor(seq.text) == seq.descriptor
+
+
+# the plain forms, and poly:/chain: with comma lists of small integers, empty
+# items among them
+ITEMS = st.lists(st.one_of(st.just(""), st.integers(min_value=-3, max_value=9).map(str)), max_size=5)
+DESCRIPTOR_TEXT = st.one_of(
+    st.sampled_from(["linear", "square", "factorial", "pow2"]),
+    st.builds(lambda kind, items: f"{kind}:" + ",".join(items), st.sampled_from(["poly", "chain"]), ITEMS),
+)
+
+
+@given(DESCRIPTOR_TEXT)
+def test_descriptor_text_builds_a_chain_or_is_refused(text):
+    try:
+        descriptor = parse_descriptor(text)
+    except ValueError:
+        return
+    hash(descriptor)
+    seq = PivotSequence(descriptor)
+    assert parse_descriptor(seq.text) == descriptor
+    terms = seq.terms(4)
+    assert terms[0] == 1
+    assert all(b > a and b % a == 0 for a, b in zip(terms, terms[1:]))
 
 
 def test_a_sequence_refuses_what_is_not_a_descriptor():
