@@ -1,6 +1,6 @@
 """Integer kernels for the hot paths: circle wrapping, balanced digit
-extraction, the largest digit ratio, neighbourhood membership scans
-and the window sieve.
+extraction, the digit and partial-sum ratios, neighbourhood membership
+scans and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
@@ -125,22 +125,36 @@ def coefficient_checks(digits, terms):
     return value, digit_ok, partial_ok
 
 
-def max_digit_ratio(digits, terms):
-    """The largest |k_n| b_n / b_{n+1} over ``digits``, as an exact pair
-    (num, den) with den >= 1; (0, 1) when every digit is 0 or there is none.
+def digit_ratios(digits, terms):
+    """The exact pairs ((dn, dd), (pn, pd)) of the largest |k_n| b_n / b_{n+1}
+    and the largest |sum_{i<=n} k_i b_i| / b_{n+1}, each (0, 1) when no digit
+    is nonzero. A prefix ``terms`` shorter than len(digits)+1 raises IndexError.
 
-    One pair answers both one-sided digit tests at every level m: all ratios
-    are at most c/(8m) iff 8m * num <= c * den. ``terms`` must hold at least
-    len(digits)+1 chain terms.
+    Neither depends on the level m: the partial-sum criterion at m is
+    4m * pn <= pd, and a one-sided digit test at c/(8m) is 8m * dn <= c * dd.
+    A zero digit is skipped: its partial sum is the one before, over a larger
+    b_{n+1}.
     """
-    num, den = 0, 1
-    for n, k in enumerate(digits):
+    if len(terms) <= len(digits):
+        raise IndexError(
+            f"{len(digits)} digits need {len(digits) + 1} chain terms, got {len(terms)}"
+        )
+    dn, dd, pn, pd = 0, 1, 0, 1
+    partial = 0
+    n = 0
+    for k in digits:
+        n += 1
         if k:
-            a = (-k if k < 0 else k) * terms[n]
-            b = terms[n + 1]
-            if a * den > num * b:
-                num, den = a, b
-    return num, den
+            kb = k * terms[n - 1]
+            b = terms[n]
+            a = -kb if kb < 0 else kb
+            if a * dd > dn * b:
+                dn, dd = a, b
+            partial += kb
+            a = -partial if partial < 0 else partial
+            if a * pd > pn * b:
+                pn, pd = a, b
+    return (dn, dd), (pn, pd)
 
 
 def first_arc_exit(k, terms, m):
@@ -211,34 +225,15 @@ def member_direct_scan(k, terms, m):
     return first_arc_exit(k, terms, m) is None
 
 
-def member_partial_scan(k, terms, m, digits=None):
-    """Membership via the partial-sum criterion on the balanced digits of k.
-
-    k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1.
-    ``digits``, when given, must be ``decompose_digits`` of k over
-    ``terms``; a caller asking at several levels computes them once.
-
-    The partial sum changes only after a nonzero digit k_s, so the bound is
-    tested at n = s + 1 alone: between two nonzero digits the sum stays put
-    while b_n grows. The last nonzero digit brings the sum to k, and from
-    there on it stays k while b_n grows, so the scan ends there: k belongs
-    iff every test up to b_{s+1} passes, the last being 4m|k| <= b_{s+1}.
-    ``terms`` must reach that b_{s+1}, which a term >= 4m|k| guarantees.
+def member_partial_scan(k, terms, m):
+    """Membership via the partial-sum criterion on the balanced digits of k:
+    k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1, read
+    off the second pair of ``digit_ratios``. ``terms`` must reach b_{s+1}, s
+    the last nonzero digit, which a term >= 4m|k| guarantees.
     """
-    if k == 0:
-        return True
-    if digits is None:
-        digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
-    m4 = 4 * m
-    partial = 0
-    s = 0
-    for d in digits:
-        s += 1
-        if d:
-            partial += d * terms[s - 1]
-            if m4 * (-partial if partial < 0 else partial) > terms[s]:
-                return False
-    return True
+    digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
+    pn, pd = digit_ratios(digits, terms)[1]
+    return 4 * m * pn <= pd
 
 
 def mask_positions(mask, start=0, step=1):

@@ -94,9 +94,11 @@ class IntegerSequence:
     bit_budget: int = field(init=False)
 
     def __post_init__(self):
+        if self.pivots is not None and not isinstance(self.pivots, PivotSequence):
+            raise ValueError(f"sequence pivots must be a PivotSequence, got {self.pivots!r}")
         if self.family == "custom":
-            if self.fn is None:
-                raise ValueError("custom sequences need a callable")
+            if not callable(self.fn):
+                raise ValueError(f"custom sequences need a callable fn, got {self.fn!r}")
         elif self.family not in FAMILIES:
             raise ValueError(f"unknown sequence family {self.family!r}")
         elif self.family in _NEEDS_PIVOTS and self.pivots is None:

@@ -10,14 +10,13 @@ topologies a pivot chain induces on the integers:
 
 Four routes into the uniform question are provided: the direct scan, the
 equivalent partial-sum criterion on the balanced digits, and one-sided
-digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). Both digit
-tests read one exact pair from the ``max_digit_ratio`` kernel, the largest
-|k_n| b_n / b_{n+1}. ``route_violations`` runs all four routes over a range
-of k and a set of levels on the kernels directly: it fetches the chain
-prefix once, decomposes each k once and compares the routes at every level.
-The partial-sum route tests its bound after each nonzero digit only: a zero
-digit k_s leaves the partial sum as it was, and the larger b_{s+1} then
-holds it within 1/(4m) if b_s did.
+digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). The last
+three read two exact pairs from the ``digit_ratios`` kernel: the largest
+|k_n| b_n / b_{n+1} and the largest |sum_{i<=n} k_i b_i| / b_{n+1}. Neither
+depends on the level m, so at every level each route is one comparison.
+``route_violations`` runs all four routes over a range of k and a set of
+levels on the kernels directly: it fetches the chain prefix once, and
+decomposes each k and reads its two pairs once.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -53,9 +52,9 @@ from typing import Iterator, NamedTuple, Sequence, Union
 from ztop._kernels import (
     arc_sieve,
     decompose_digits,
+    digit_ratios,
     divides,
     mask_positions,
-    max_digit_ratio,
     member_direct_scan,
     member_partial_scan,
 )
@@ -143,7 +142,7 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
         raise ValueError(f"mode must be 'sufficient' or 'necessary', got {mode!r}")
     factor = 1 if mode == "sufficient" else 3
     digits = coeffs.coeffs
-    num, den = max_digit_ratio(digits, coeffs.pivots.terms_until(1, extra=len(digits)))
+    num, den = digit_ratios(digits, coeffs.pivots.terms_until(1, extra=len(digits)))[0]
     return 8 * m * num <= factor * den
 
 
@@ -155,8 +154,8 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
 
     The sweep form of the public routes: the chain prefix is fetched once,
     each k != 0 is decomposed once, and the routes run on the kernels the
-    public functions use, the digit tests on one ``max_digit_ratio`` pair
-    per k. k = 0 goes through the public functions themselves.
+    public functions use, the last three on the two ``digit_ratios`` pairs
+    of k. k = 0 goes through the public functions themselves.
     """
     for m in ms:
         check_level(m)
@@ -165,13 +164,13 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     for k in range(-limit, limit + 1):
         if k:
             digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
-            num, den = max_digit_ratio(digits, terms)
+            (dn, dd), (pn, pd) = digit_ratios(digits, terms)
             for m in ms:
                 direct = member_direct_scan(k, terms, m)
-                if direct != member_partial_scan(k, terms, m, digits):
+                if direct != (4 * m * pn <= pd):
                     equivalence.append((k, m))
                 # a member must pass the necessary test, a non-member fail the sufficient one
-                if (8 * m * num <= (3 * den if direct else den)) != direct:
+                if (8 * m * dn <= (3 * dd if direct else dd)) != direct:
                     implication.append((k, m))
         else:
             zero = decompose(0, pivots)

@@ -167,8 +167,8 @@ class PivotSequence:
 
     def term(self, n: int) -> int:
         """Exact b_n; deterministic across calls and threads."""
-        if n < 0:
-            raise ValueError("term index must be nonnegative")
+        if type(n) is not int or n < 0:  # a bool or a float is no index
+            raise ValueError(f"term index must be an integer >= 0, got {n!r}")
         memo = self._memo
         if n < len(memo):
             return memo[n]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztop import acceptance, convergence, decomposition, neighborhoods, regressions
+from ztop import _kernels, acceptance, convergence, decomposition, neighborhoods, regressions
 from ztop.pivots import make_pivots
 
 
@@ -209,20 +209,39 @@ def test_round_trip_failures_match_checking_every_integer(chain, edits, odd):
 
 
 def corrupt_kernel(monkeypatch, name, target_k, target_m):
-    """Flip the answer of neighborhoods.<name>(k, terms, m, ...) at one (k, m)
+    """Flip the answer of neighborhoods.<name>(k, terms, m) at one (k, m)
     on the linear chain."""
     original = getattr(neighborhoods, name)
 
-    def corrupted(k, terms, m, *rest):
-        answer = original(k, terms, m, *rest)
+    def corrupted(k, terms, m):
+        answer = original(k, terms, m)
         return not answer if (k, m) == (target_k, target_m) and on_linear(terms) else answer
 
     monkeypatch.setattr(neighborhoods, name, corrupted)
 
 
+def corrupt_ratios(monkeypatch, target_value, pair, value):
+    """Replace pair ``pair`` (0 digit, 1 partial sum) of digit_ratios(digits,
+    terms) by ``value`` where the digits add up to target_value on the linear
+    chain. The kernels' own binding is replaced too, so the public
+    partial-sum route the report reads sees what the sweep saw."""
+    original = neighborhoods.digit_ratios
+
+    def corrupted(digits, terms):
+        pairs = original(digits, terms)
+        if sum(k * b for k, b in zip(digits, terms)) == target_value and on_linear(terms):
+            pairs = (value, pairs[1]) if pair == 0 else (pairs[0], value)
+        return pairs
+
+    monkeypatch.setattr(neighborhoods, "digit_ratios", corrupted)
+    monkeypatch.setattr(_kernels, "digit_ratios", corrupted)
+
+
 def test_membership_sweep_reports_one_corrupted_partial_route(monkeypatch):
-    corrupt_kernel(monkeypatch, "member_partial_scan", -LIMIT, 8)
-    eq_ok, chain_ok, strict_ok, detail = acceptance.membership_sweep(limit=LIMIT)
+    # -LIMIT is no member over the linear chain at any level; a partial-sum
+    # ratio of 0 makes it one, at the one level swept
+    corrupt_ratios(monkeypatch, -LIMIT, 1, (0, 1))
+    eq_ok, chain_ok, strict_ok, detail = acceptance.membership_sweep(limit=LIMIT, ms=(8,))
     assert (eq_ok, chain_ok, strict_ok) == (False, True, True)
     assert "1 equivalence violations, 0 implication violations" in detail
     assert detail.endswith(f"; first equivalence: ('linear', {-LIMIT}, 8, False, True)")
@@ -242,13 +261,7 @@ def test_membership_sweep_reports_one_corrupted_direct_route(monkeypatch):
 
 
 def test_membership_sweep_reports_one_corrupted_digit_ratio(monkeypatch):
-    original = neighborhoods.max_digit_ratio
-
-    def corrupted(digits, terms):
-        value = sum(k * b for k, b in zip(digits, terms))
-        return (0, 1) if value == LIMIT and on_linear(terms) else original(digits, terms)
-
-    monkeypatch.setattr(neighborhoods, "max_digit_ratio", corrupted)
+    corrupt_ratios(monkeypatch, LIMIT, 0, (0, 1))
     eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT, ms=(2,))
     assert (eq_ok, chain_ok) == (True, False)
     assert "0 equivalence violations, 1 implication violations" in detail

@@ -72,11 +72,13 @@ def test_pow2_honours_bit_budget_env(monkeypatch):
     "args, message",
     [(("geomdiff",), "family 'geomdiff' is defined over a pivot chain"),
      (("bogus",), "unknown sequence family 'bogus'"),
-     (("custom",), "custom sequences need a callable")],
-    ids=["geomdiff", "bogus", "custom"],
+     (("custom",), "custom sequences need a callable fn, got None"),
+     (("custom", None, 3), "custom sequences need a callable fn, got 3"),
+     (("pivotsucc", "square"), "sequence pivots must be a PivotSequence, got 'square'")],
+    ids=["geomdiff", "bogus", "custom", "custom-not-callable", "pivots-text"],
 )
 def test_a_sequence_refuses_itself_when_built(args, message):
-    # not first with an AttributeError at its first term
+    # not first with an AttributeError or a TypeError at its first term
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         IntegerSequence(*args)
 

@@ -15,7 +15,9 @@ The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. The ``blocks-budget-square-pivotsucc`` case
 was saved when the peak-decay cross-check learnt to report a refused scan as
-null rather than as a pass. ``<name>.stderr``, when present, holds its
+null rather than as a pass. The ``member`` and ``decompose`` cases were saved
+before the partial-sum route and both digit tests moved onto one pair of
+exact maxima per k. ``<name>.stderr``, when present, holds its
 error output (absent means none). Each header's ``config``, fed back through
 ``--config``, must print the same bytes. Any change to a verdict, a survivor list,
 a failing k or a budget refusal shows here.
@@ -112,6 +114,12 @@ CASES = {
     "blocks-budget-factorial-zero": (
         ["blocks", "--pivots", "factorial", "--sequence", "zero", "--horizon", "10",
          "--thresholds", "1,2"], "64", 0),
+    # a member that fails the sufficient test: its digit ratio 1/4 exceeds 1/8
+    "member-square-128": (["member", "--pivots", "square", "--m", "1", "--k", "128"], None, 0),
+    # a non-member that passes the necessary test
+    "member-square-6": (["member", "--pivots", "square", "--m", "1", "--k", "6"], None, 0),
+    "decompose-chain-2-3-minus-1000": (
+        ["decompose", "--pivots", "chain:2,3", "--l", "-1000"], None, 0),
     # the cross-check scans l_1..l_8 for both levels; l_8 = b_9 = 2^81 needs
     # b_10 = 2^100, which takes 101 bits, so neither check is a pass
     "blocks-budget-square-pivotsucc": (

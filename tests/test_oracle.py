@@ -11,15 +11,18 @@ bits, its rungs that mask instead of dividing.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
-hand-built digit lists and at the exact bounds. The partial-sum kernel is
-checked to give the same answer with and without precomputed digits.
+hand-built digit lists and at the exact bounds.
 
-The three digit kernels step from one nonzero digit to the next; each is
-checked against its per-level form, which rounds and tests at every chain
-level, on nine chains: for every |l| <= 3000, at the ties +-b_n/2 and
-+-3b_n/2, at +-b_n and +-(b_n +- 1), on random l up to 10^40, on
-hand-built digit lists whose zeros sit between and after digits that break
-a bound, and on chain prefixes too short for them, where both must raise.
+The three digit kernels (``decompose_digits``, ``coefficient_checks`` and
+``digit_ratios``) step from one nonzero digit to the next; each is checked
+against its per-level form, which rounds and tests at every chain level, on
+nine chains: for every |l| <= 3000, at the ties +-b_n/2 and +-3b_n/2, at
++-b_n and +-(b_n +- 1), on random l up to 10^40, and on hand-built and
+drawn digit lists whose zeros sit between and after digits that break a
+bound. Both pairs of ``digit_ratios`` are checked against their Fraction
+maxima, and the partial-sum pair at every level against the per-level
+partial-sum scan. On chain prefixes too short for their digits, every
+digit kernel and the partial-sum scan raise.
 
 The window scans built on the arc sieve are checked here too: the members
 ``iter_members`` yields, for uniform neighbourhoods against the oracle and
@@ -53,9 +56,9 @@ from ztop._kernels import (
     arc_sieve,
     coefficient_checks,
     decompose_digits,
+    digit_ratios,
     first_arc_exit,
     mask_positions,
-    max_digit_ratio,
     member_partial_scan,
     wrap_half,
 )
@@ -296,9 +299,9 @@ def oracle_ratio(digits, pivots):
 
 
 def check_digit_tests(digits, pivots, m):
-    """max_digit_ratio is the Fraction maximum, and coeff_bound_test holds in
-    each mode exactly when every ratio is at most 1/(8m) (or 3/(8m))."""
-    num, den = max_digit_ratio(digits, pivots.terms(len(digits) + 1))
+    """digit_ratios' first pair is the Fraction maximum, and coeff_bound_test
+    holds in each mode exactly when every ratio is at most 1/(8m) (or 3/(8m))."""
+    num, den = digit_ratios(digits, pivots.terms(len(digits) + 1))[0]
     assert den >= 1 and Fraction(num, den) == oracle_ratio(digits, pivots)
     coeffs = coefficients_from_digits(digits, pivots)
     for mode, factor in (("sufficient", 1), ("necessary", 3)):
@@ -369,7 +372,7 @@ def test_digit_tests_at_their_exact_bounds():
     for text, m, factor, *lists in cases:
         pivots = CHAINS[text]
         for digits in lists:
-            num, den = max_digit_ratio(digits, pivots.terms(len(digits) + 1))
+            num, den = digit_ratios(digits, pivots.terms(len(digits) + 1))[0]
             assert 8 * m * num == factor * den
             mode = "sufficient" if factor == 1 else "necessary"
             assert coeff_bound_test(coefficients_from_digits(digits, pivots), m, mode)
@@ -381,30 +384,9 @@ def test_digit_tests_at_their_exact_bounds():
 
 def test_digit_tests_on_the_empty_list():
     for pivots in CHAINS.values():
-        assert max_digit_ratio([], pivots.terms(1)) == (0, 1)
+        assert digit_ratios([], pivots.terms(1)) == ((0, 1), (0, 1))
         check_digit_tests([], pivots, 1)
         check_digit_tests([0, 0, 0], pivots, 1)
-
-
-@settings(deadline=None)
-@given(
-    st.one_of(
-        st.tuples(
-            st.sampled_from(sorted(CHAINS)),
-            st.sampled_from(LEVELS),
-            st.integers(min_value=-(10**6), max_value=10**6),
-        ),
-        ladder_values(),
-    )
-)
-def test_member_partial_scan_with_precomputed_digits(case):
-    text, m, k = case
-    pivots = CHAINS[text]
-    terms = pivots.terms_until(4 * m * abs(k), extra=1)
-    digits = decompose_digits(k, terms, bisect_left(terms, abs(k)))
-    expected = member_partial_scan(k, terms, m)
-    assert member_partial_scan(k, terms, m, digits) == expected
-    assert expected == (first_arc_exit(k, terms, m) is None)
 
 
 # -- the digit kernels against their per-level forms ---------------------------
@@ -445,13 +427,12 @@ def per_level_checks(digits, terms):
     return value, digit_ok, partial_ok
 
 
-def per_level_partial_scan(k, terms, m, digits=None):
+def per_level_partial_scan(k, terms, m):
     """``member_partial_scan`` with the partial sum tested at every index
     n >= 1 up to the first b_n >= 4m|k|."""
     if k == 0:
         return True
-    if digits is None:
-        digits = per_level_digits(k, terms, bisect_left(terms, abs(k)))
+    digits = per_level_digits(k, terms, bisect_left(terms, abs(k)))
     partial = 0
     n = 1
     while True:
@@ -478,15 +459,37 @@ def digit_terms(text):
     return make_pivots(text).terms_until(4 * max(DIGIT_LEVELS) * DIGIT_MAX, extra=1)
 
 
+def fraction_ratios(digits, terms):
+    """The two maxima of ``digit_ratios`` from their Fraction definitions,
+    taken at every level: max |k_n| b_n / b_{n+1} and
+    max |sum_{i<=n} k_i b_i| / b_{n+1}, each 0 for no digit."""
+    digit = part = Fraction(0)
+    partial = 0
+    for n, k in enumerate(digits):
+        partial += k * terms[n]
+        digit = max(digit, Fraction(abs(k) * terms[n], terms[n + 1]))
+        part = max(part, Fraction(abs(partial), terms[n + 1]))
+    return digit, part
+
+
+def check_digit_ratios(digits, terms):
+    """Both pairs of ``digit_ratios`` are their Fraction maxima; returns them."""
+    pairs = digit_ratios(digits, terms)
+    assert all(den >= 1 for _, den in pairs)
+    assert tuple(Fraction(num, den) for num, den in pairs) == fraction_ratios(digits, terms)
+    return pairs
+
+
 def check_digit_kernels(l, terms):
     top = bisect_left(terms, abs(l))
     digits = decompose_digits(l, terms, top)
     assert digits == per_level_digits(l, terms, top)
     assert coefficient_checks(digits, terms) == per_level_checks(digits, terms)
+    _, (pn, pd) = check_digit_ratios(digits, terms)
     for m in DIGIT_LEVELS:
         expected = per_level_partial_scan(l, terms, m)
         assert member_partial_scan(l, terms, m) == expected
-        assert member_partial_scan(l, terms, m, digits) == expected
+        assert (4 * m * pn <= pd) == expected
 
 
 @pytest.mark.parametrize("text", DIGIT_CHAINS)
@@ -556,6 +559,7 @@ def test_coefficient_checks_match_per_level_on_hand_built_digits(text):
     for digits in bound_breaking_digit_lists(terms):
         expected = per_level_checks(digits, terms)
         assert coefficient_checks(digits, terms) == expected
+        check_digit_ratios(digits, terms)
         seen.add(expected[1:])
     assert (False, False) in seen
     # where every b_{n+1} / b_n is odd, digits within their bounds keep
@@ -584,6 +588,14 @@ def test_coefficient_checks_match_per_level_on_drawn_digits(case):
     text, digits = case
     terms = digit_terms(text)
     assert coefficient_checks(digits, terms) == per_level_checks(digits, terms)
+    check_digit_ratios(digits, terms)
+
+
+@pytest.mark.parametrize("text", DIGIT_CHAINS)
+def test_digit_ratios_of_no_digit_and_of_zeros(text):
+    terms = digit_terms(text)
+    for digits in ([], [0], [0, 0, 0]):
+        assert check_digit_ratios(digits, terms) == ((0, 1), (0, 1))
 
 
 def outcome(kernel, *args):
@@ -599,28 +611,23 @@ def test_digit_kernels_refuse_a_short_prefix(text):
     terms = digit_terms(text)
     for digits in ([1], [1, 0], [0, 0, 1, 0, 0], [1, -1, 0]):
         short = terms[: len(digits)]
+        enough = short + terms[len(digits) : len(digits) + 1]
         assert outcome(coefficient_checks, digits, short) is IndexError
         assert outcome(per_level_checks, digits, short) is IndexError
-        assert coefficient_checks(digits, short + terms[len(digits) : len(digits) + 1]) == (
-            per_level_checks(digits, terms)
-        )
-    raised = 0
+        assert coefficient_checks(digits, enough) == per_level_checks(digits, terms)
+        assert outcome(digit_ratios, digits, short) is IndexError
+        assert digit_ratios(digits, enough) == digit_ratios(digits, terms)
     for l in tie_and_term_values(terms):
         if l:
             top = bisect_left(terms, abs(l))
             assert outcome(decompose_digits, l, terms[:top], top) is IndexError
             digits = decompose_digits(l, terms, top)
+            # cut at b_{s+1}, s the last nonzero digit: every digit kernel
+            # raises, the partial scan too, whether or not k is a member
+            short = terms[: len(digits)]
+            assert outcome(digit_ratios, digits, short) is IndexError
             for m in DIGIT_LEVELS:
-                # cut at b_{s+1}, s the last nonzero digit: the scans reach it
-                # on members, and there both must raise
-                short = terms[: len(digits)]
-                got = outcome(member_partial_scan, l, short, m, digits)
-                assert got == outcome(per_level_partial_scan, l, short, m, digits)
-                assert outcome(member_partial_scan, l, short, m) == (
-                    outcome(per_level_partial_scan, l, short, m)
-                )
-                raised += got is IndexError
-    assert raised
+                assert outcome(member_partial_scan, l, short, m) is IndexError
 
 
 # -- the window scans ----------------------------------------------------------

@@ -39,6 +39,13 @@ def test_term_examples(square, chain232):
         square.term(-1)
 
 
+@pytest.mark.parametrize("index", [True, False, 2.0, -1, "2"])
+def test_term_refuses_what_is_not_an_index(square, index):
+    # True would read b_1 off the memo, and 2.0 fail with an unnamed TypeError
+    with pytest.raises(ValueError, match=rf"^term index must be an integer >= 0, got {re.escape(repr(index))}$"):
+        square.term(index)
+
+
 def test_polynomial_exponents():
     cubic = make_pivots("poly:3,0,1")  # a_n = 3n + n^3
     assert cubic.term(0) == 1
