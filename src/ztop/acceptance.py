@@ -11,11 +11,9 @@ The exhaustive sweeps of criteria 1-3 run the kernels directly, through
 ``decomposition.round_trip_failures`` and ``neighborhoods.route_violations``:
 each chain prefix is fetched once and each integer decomposed once, and
 every integer of the range is still checked; criterion 1 checks -l through
-l when their digits are exact negations. Those sweeps return the
-integers that fail; the first one is checked again through the public
-wrappers, so a failure reads as it would from ``decompose``,
-``recompose_and_check``, ``member_direct``, ``member_partial_sums`` and
-``coeff_bound_test``.
+l when their digits are exact negations. Those sweeps return the rows that
+fail with the answers they compared, and a failure's detail is its first
+row as the sweep reported it.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from ztop.convergence import (
     make_sequence,
     prefix_test,
 )
-from ztop.decomposition import decompose, recompose_and_check, round_trip_failures
+from ztop.decomposition import decompose, round_trip_failures
 from ztop.duality import CERT_DIVISOR, character, kernel_check
 from ztop.neighborhoods import (
     Linear,
@@ -39,7 +37,6 @@ from ztop.neighborhoods import (
     discreteness_witness,
     member_direct,
     member_linear,
-    member_partial_sums,
     route_violations,
 )
 from ztop.pivots import MultiplierChain, TwoPowerExponent, make_pivots
@@ -65,7 +62,7 @@ def decomposition_soundness(limit: int = 10**5):
         failures = round_trip_failures(pivots, limit)
         bad += len(failures)
         if failures and first is None:
-            first = (name, failures[0], recompose_and_check(decompose(failures[0], pivots)))
+            first = (name, *failures[0])
     detail = f"swept |l| <= {limit} over 4 chains, {bad} violations"
     if first is not None:
         detail += f"; first: {first}"
@@ -88,17 +85,9 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
         eq_bad += len(equivalence)
         chain_bad += len(implication)
         if equivalence and first_eq is None:
-            k, m = equivalence[0]
-            first_eq = (name, k, m, member_direct(k, pivots, m), member_partial_sums(k, pivots, m))
+            first_eq = (name, *equivalence[0])
         if implication and first_chain is None:
-            k, m = implication[0]
-            coeffs = decompose(k, pivots)
-            first_chain = (
-                name, k, m,
-                coeff_bound_test(coeffs, m, "sufficient"),
-                member_direct(k, pivots, m),
-                coeff_bound_test(coeffs, m, "necessary"),
-            )
+            first_chain = (name, *implication[0])
     square = pivots_by_name["square"]
     strict = member_direct(128, square, 1) and not coeff_bound_test(
         decompose(128, square), 1, "sufficient"

@@ -190,6 +190,15 @@ def _build_parser():
     return parser, options
 
 
+def _rational_option(flag, text):
+    """The exact rational "p/q" or "p" that ``text`` spells; a refusal names
+    the flag."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise ValueError(f"option {flag}: {exc}") from None
+
+
 def _integer_option(flag, value):
     """An int, or the text of one; config booleans and floats are refused
     rather than truncated."""
@@ -365,7 +374,7 @@ def _run_blocks(settings):
 
 def _run_discrete(settings):
     xs_text = settings.get("xs", required=True)
-    xs = [parse_rational(x) for x in xs_text.split(",")]
+    xs = [_rational_option("--x", x) for x in xs_text.split(",")]
     ratio_bound = settings.get("ratio_bound", required=True)
     window = settings.get("window", 100)
     report = Report("discrete", settings.echo())
@@ -383,7 +392,7 @@ def _run_discrete(settings):
 
 def _run_dual(settings):
     pivots = make_pivots(settings.get("pivots", required=True))
-    chi = character(parse_rational(settings.get("chi", required=True)))
+    chi = character(_rational_option("--chi", settings.get("chi", required=True)))
     windowed = settings.get("m") is not None or settings.get("n") is not None
     if settings.get("window") is not None and not windowed:
         raise ValueError("option --window needs --m or --n")

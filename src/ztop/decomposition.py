@@ -12,11 +12,11 @@ empty digit list and recomposes to 0.
 
 ``round_trip_failures`` is the exhaustive sweep of criterion 1: it runs the
 kernels behind ``decompose`` and ``recompose_and_check`` over a whole range
-of l with one fetch of the chain prefix. Digits that are exactly l's
-negated recompose to minus l's value and keep both bounds, each bound being
-on an absolute value, so -l is verified only when l failed or its digits
-are not l's negated; the failures are those of verifying every l, whatever
-the digit kernel returns.
+of l with one fetch of the chain prefix, and reports each failing l with
+the check it failed. Digits that are exactly l's negated recompose to minus
+l's value and keep both bounds, each bound being on an absolute value, so
+-l is verified only when l failed or its digits are not l's negated; the
+failures are those of verifying every l, whatever the digit kernel returns.
 
 Both kernels work per nonzero digit, not per chain level. A level whose
 remainder r has 2|r| <= b_n rounds to the digit 0 and leaves r unchanged,
@@ -118,14 +118,16 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)
 
 
-def round_trip_failures(pivots: PivotSequence, limit: int) -> list[int]:
-    """Every l with |l| <= limit whose balanced digits fail to recompose to l
-    or break a balance bound, in increasing order.
+def round_trip_failures(pivots: PivotSequence, limit: int) -> list[tuple[int, CoefficientCheck]]:
+    """The pairs (l, check) for every l with |l| <= limit whose balanced
+    digits fail to recompose to l or break a balance bound, in increasing
+    order of l; ``check`` is what ``recompose_and_check(decompose(l,
+    pivots))`` reports.
 
-    The sweep form of ``recompose_and_check(decompose(l, pivots))``: the
-    chain prefix is fetched once and every l != 0 goes through the same
-    ``decompose_digits`` kernel and, unless its verdict is already known,
-    ``coefficient_checks``; l = 0 goes through the wrappers themselves.
+    The sweep form of those two wrappers: the chain prefix is fetched once
+    and every l != 0 goes through the same ``decompose_digits`` kernel and,
+    unless its verdict is already known, ``coefficient_checks``; l = 0
+    goes through the wrappers themselves.
 
     The sweep runs l = 1..limit and decomposes l and -l, which share the
     top index. ``coefficient_checks`` of the negated digits of l returns
@@ -144,11 +146,11 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[int]:
         value, digit_ok, partial_ok = coefficient_checks(digits, terms)
         failed = value != l or not (digit_ok and partial_ok)
         if failed:
-            positives.append(l)
+            positives.append((l, CoefficientCheck(value, value == l, digit_ok, partial_ok)))
         mirror = decompose_digits(-l, terms, top)
         if failed or mirror != [-k for k in digits]:
             value, digit_ok, partial_ok = coefficient_checks(mirror, terms)
             if value != -l or not (digit_ok and partial_ok):
-                negatives.append(-l)
-    zero = [] if recompose_and_check(decompose(0, pivots)).ok else [0]
-    return negatives[::-1] + zero + positives
+                negatives.append((-l, CoefficientCheck(value, value == -l, digit_ok, partial_ok)))
+    zero = recompose_and_check(decompose(0, pivots))
+    return negatives[::-1] + ([] if zero.ok else [(0, zero)]) + positives

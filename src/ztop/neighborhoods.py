@@ -15,8 +15,9 @@ three read two exact pairs from the ``digit_ratios`` kernel: the largest
 |k_n| b_n / b_{n+1} and the largest |sum_{i<=n} k_i b_i| / b_{n+1}. Neither
 depends on the level m, so at every level each route is one comparison.
 ``route_violations`` runs all four routes over a range of k and a set of
-levels on the kernels directly: it fetches the chain prefix once, and
-decomposes each k and reads its two pairs once.
+levels on the kernels directly: it fetches the chain prefix once,
+decomposes each k and reads its two pairs once, and returns each failure
+with the answers it compared.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -58,7 +59,7 @@ from ztop._kernels import (
     member_direct_scan,
     member_partial_scan,
 )
-from ztop.decomposition import PivotCoefficients, decompose
+from ztop.decomposition import PivotCoefficients
 from ztop.pivots import BitBudgetExceeded, PivotSequence
 from ztop.torus import check_int, check_level, check_nonnegative_int, check_positive_int, exact_rational
 
@@ -108,13 +109,10 @@ class NeighborhoodSpec:
 
 def member_direct(k: int, pivots: PivotSequence, m: int) -> bool:
     """Uniform membership by scanning k/b_n for every index below the
-    termination bound; k = 0 is always a member."""
+    termination bound; k = 0, with no index to scan, is always a member."""
     check_int(k, "k")
     check_level(m)
-    if k == 0:
-        return True
-    terms = pivots.terms_until(4 * m * (-k if k < 0 else k))
-    return member_direct_scan(k, terms, m)
+    return member_direct_scan(k, pivots.terms_until(4 * m * (-k if k < 0 else k)), m)
 
 
 def member_partial_sums(k: int, pivots: PivotSequence, m: int) -> bool:
@@ -123,10 +121,7 @@ def member_partial_sums(k: int, pivots: PivotSequence, m: int) -> bool:
     member_direct on every input."""
     check_int(k, "k")
     check_level(m)
-    if k == 0:
-        return True
-    terms = pivots.terms_until(4 * m * (-k if k < 0 else k))
-    return member_partial_scan(k, terms, m)
+    return member_partial_scan(k, pivots.terms_until(4 * m * (-k if k < 0 else k)), m)
 
 
 def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
@@ -148,39 +143,32 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
 
 def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     """All four membership routes for every |k| <= limit at every level in
-    ``ms``; returns (equivalence, implication), the (k, m) pairs in sweep
-    order where ``member_direct`` and ``member_partial_sums`` disagree, and
-    where "sufficient implies member implies necessary" fails.
+    ``ms``; returns (equivalence, implication), the rows in sweep order
+    where the routes break a claim, each row with the answers compared.
+    An equivalence row (k, m, direct, partial) is where ``member_direct``
+    and ``member_partial_sums`` disagree; an implication row
+    (k, m, sufficient, direct, necessary) is where "sufficient implies
+    member implies necessary" fails.
 
     The sweep form of the public routes: the chain prefix is fetched once,
-    each k != 0 is decomposed once, and the routes run on the kernels the
-    public functions use, the last three on the two ``digit_ratios`` pairs
-    of k. k = 0 goes through the public functions themselves.
+    each k, 0 included, is decomposed once, and the routes run on the
+    kernels the public functions use, the last three on the two
+    ``digit_ratios`` pairs of k.
     """
     for m in ms:
         check_level(m)
     terms = pivots.terms_until(4 * max(ms, default=1) * limit, extra=1)
     equivalence, implication = [], []
     for k in range(-limit, limit + 1):
-        if k:
-            digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
-            (dn, dd), (pn, pd) = digit_ratios(digits, terms)
-            for m in ms:
-                direct = member_direct_scan(k, terms, m)
-                if direct != (4 * m * pn <= pd):
-                    equivalence.append((k, m))
-                # a member must pass the necessary test, a non-member fail the sufficient one
-                if (8 * m * dn <= (3 * dd if direct else dd)) != direct:
-                    implication.append((k, m))
-        else:
-            zero = decompose(0, pivots)
-            for m in ms:
-                direct = member_direct(0, pivots, m)
-                if direct != member_partial_sums(0, pivots, m):
-                    equivalence.append((0, m))
-                mode = "necessary" if direct else "sufficient"
-                if coeff_bound_test(zero, m, mode) != direct:
-                    implication.append((0, m))
+        digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
+        (dn, dd), (pn, pd) = digit_ratios(digits, terms)
+        for m in ms:
+            direct = member_direct_scan(k, terms, m)
+            if direct != (4 * m * pn <= pd):
+                equivalence.append((k, m, direct, not direct))  # the partial sums said otherwise
+            # a member must pass the necessary test, a non-member fail the sufficient one
+            if (8 * m * dn <= (3 * dd if direct else dd)) != direct:
+                implication.append((k, m, 8 * m * dn <= dd, direct, 8 * m * dn <= 3 * dd))
     return equivalence, implication
 
 

@@ -178,10 +178,9 @@ class PivotSequence:
         return self._memo[n]
 
     def terms(self, count: int) -> list[int]:
-        """The prefix [b_0, ..., b_{count-1}] as a fresh list."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        self.term(count - 1)
+        """The prefix [b_0, ..., b_{count-1}] as a fresh list; a count that is
+        not an int >= 1, a bool or a float included, is refused."""
+        self.term(check_positive_int(count, "term count") - 1)
         return self._memo[:count]
 
     def terms_until(self, bound: int, extra: int = 0) -> list[int]:

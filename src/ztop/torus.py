@@ -28,6 +28,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational p/q: {text!r}") from None
 
 
 def rat_str(q: Fraction) -> str:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztop import _kernels, acceptance, convergence, decomposition, neighborhoods, regressions
+from ztop import acceptance, convergence, decomposition, neighborhoods, regressions
 from ztop.pivots import make_pivots
 
 
@@ -91,9 +91,10 @@ def test_criterion_9_duality_shadow():
 # -- the sweeps reach every integer ---------------------------------------------
 # Each guard corrupts one kernel answer for one integer on the linear chain
 # (the only one with b_3 = 8) and expects exactly that one violation back,
-# reported as the public wrappers report it. Criterion 1 checks -l through
-# l when -l's digits are l's negated; the guards after the zero's check that
-# this mirror keeps every verdict of checking each integer.
+# reported with the answers the sweep compared: the sweeps evaluate nothing
+# a second time to build a detail. Criterion 1 checks -l through l when
+# -l's digits are l's negated; the guards after the zero's check that this
+# mirror keeps every verdict of checking each integer.
 
 LIMIT = 60
 
@@ -129,7 +130,6 @@ def test_decomposition_soundness_reports_a_corrupted_zero(monkeypatch):
         return original(l, pivots)
 
     monkeypatch.setattr(decomposition, "decompose", corrupted)
-    monkeypatch.setattr(acceptance, "decompose", corrupted)
     ok, detail = acceptance.decomposition_soundness(limit=LIMIT)
     assert not ok
     assert detail.endswith(
@@ -200,12 +200,11 @@ def test_round_trip_failures_match_checking_every_integer(chain, edits, odd):
     pivots = make_pivots(chain)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposition, "decompose_digits", corrupted)
-        expected = [
-            l
+        checks = [
+            (l, decomposition.recompose_and_check(decomposition.decompose(l, pivots)))
             for l in range(-LIMIT, LIMIT + 1)
-            if not decomposition.recompose_and_check(decomposition.decompose(l, pivots)).ok
         ]
-        assert decomposition.round_trip_failures(pivots, LIMIT) == expected
+        assert decomposition.round_trip_failures(pivots, LIMIT) == [row for row in checks if not row[1].ok]
 
 
 def corrupt_kernel(monkeypatch, name, target_k, target_m):
@@ -223,8 +222,8 @@ def corrupt_kernel(monkeypatch, name, target_k, target_m):
 def corrupt_ratios(monkeypatch, target_value, pair, value):
     """Replace pair ``pair`` (0 digit, 1 partial sum) of digit_ratios(digits,
     terms) by ``value`` where the digits add up to target_value on the linear
-    chain. The kernels' own binding is replaced too, so the public
-    partial-sum route the report reads sees what the sweep saw."""
+    chain, as the sweep and the digit tests read it; the public partial-sum
+    route reads the kernels' own binding and still answers right."""
     original = neighborhoods.digit_ratios
 
     def corrupted(digits, terms):
@@ -234,13 +233,15 @@ def corrupt_ratios(monkeypatch, target_value, pair, value):
         return pairs
 
     monkeypatch.setattr(neighborhoods, "digit_ratios", corrupted)
-    monkeypatch.setattr(_kernels, "digit_ratios", corrupted)
 
 
 def test_membership_sweep_reports_one_corrupted_partial_route(monkeypatch):
     # -LIMIT is no member over the linear chain at any level; a partial-sum
-    # ratio of 0 makes it one, at the one level swept
+    # ratio of 0 makes it one, at the one level swept. The public route does
+    # not see the corrupted pair, so a detail evaluated again through it
+    # would read (False, False)
     corrupt_ratios(monkeypatch, -LIMIT, 1, (0, 1))
+    assert not neighborhoods.member_partial_sums(-LIMIT, make_pivots("linear"), 8)
     eq_ok, chain_ok, strict_ok, detail = acceptance.membership_sweep(limit=LIMIT, ms=(8,))
     assert (eq_ok, chain_ok, strict_ok) == (False, True, True)
     assert "1 equivalence violations, 0 implication violations" in detail
@@ -269,13 +270,8 @@ def test_membership_sweep_reports_one_corrupted_digit_ratio(monkeypatch):
 
 
 def test_membership_sweep_reports_a_corrupted_zero(monkeypatch):
-    original = neighborhoods.member_direct
-
-    def corrupted(k, pivots, m):
-        return False if (k, m, pivots.text) == (0, 4, "linear") else original(k, pivots, m)
-
-    monkeypatch.setattr(neighborhoods, "member_direct", corrupted)
-    monkeypatch.setattr(acceptance, "member_direct", corrupted)
+    # 0 goes through the kernels like every other k
+    corrupt_kernel(monkeypatch, "member_direct_scan", 0, 4)
     eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT)
     assert (eq_ok, chain_ok) == (False, False)
     assert "1 equivalence violations, 1 implication violations" in detail

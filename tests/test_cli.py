@@ -477,7 +477,7 @@ def test_dual_character_from_config(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"pivots": "linear", "chi": "1/0"}))
     status, out, err = run_cli(capsys, "--config", str(cfg), "dual")
-    assert (status, out, err) == (2, "", "ztop: zero denominator: '1/0'\n")
+    assert (status, out, err) == (2, "", "ztop: option --chi: zero denominator: '1/0'\n")
     cfg.write_text(json.dumps({"pivots": "linear", "chi": 0}))
     status, out, err = run_cli(capsys, "--config", str(cfg), "dual")
     assert (status, out, err) == (2, "", "ztop: option --chi must be a string, got 0\n")
@@ -486,6 +486,20 @@ def test_dual_character_from_config(tmp_path, capsys):
     assert status == 0
     header, rows = parse_ndjson(out)
     assert (header["config"]["chi"], rows[0]["chi"]) == ("0", "0/1")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dual", "--pivots", "linear", "--chi", "abc"), "option --chi: not a rational p/q: 'abc'"),
+        (("dual", "--pivots", "linear", "--chi", "0.5"), "option --chi: decimal literals are not exact: '0.5'"),
+        (("discrete", "--x", "1/2,abc", "--ratio-bound", "2"), "option --x: not a rational p/q: 'abc'"),
+        (("discrete", "--x", "1/2,1/0", "--ratio-bound", "2"), "option --x: zero denominator: '1/0'"),
+    ],
+    ids=["chi-word", "chi-decimal", "x-word", "x-zero"],
+)
+def test_rational_option_errors_name_the_flag(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"ztop: {message}\n")
 
 
 def test_config_names_the_l_option_as_its_flag(tmp_path, capsys):

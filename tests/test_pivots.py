@@ -46,6 +46,13 @@ def test_term_refuses_what_is_not_an_index(square, index):
         square.term(index)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, 0, -1, "2"])
+def test_terms_refuses_what_is_not_a_count(square, count):
+    # True would return [b_0], and 2.0 blame the index 1.0 it was turned into
+    with pytest.raises(ValueError, match=rf"^term count must be a positive integer, got {re.escape(repr(count))}$"):
+        square.terms(count)
+
+
 def test_polynomial_exponents():
     cubic = make_pivots("poly:3,0,1")  # a_n = 3n + n^3
     assert cubic.term(0) == 1

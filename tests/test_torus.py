@@ -166,3 +166,5 @@ def test_rational_text_forms():
     assert parse_rational(" 3/9 ") == F("1/3")
     with pytest.raises(ValueError):
         parse_rational("0.5")
+    with pytest.raises(ValueError, match=r"^not a rational p/q: 'abc'$"):
+        parse_rational("abc")
