@@ -1,15 +1,18 @@
 """Integer kernels for the hot paths: circle wrapping, balanced digit
-extraction, the digit and partial-sum ratios, neighbourhood membership
-scans and the window sieve.
+extraction, the digit and partial-sum ratios, the direct arc ratio,
+neighbourhood membership scans and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
 
-``first_arc_exit`` is the one answer to "where does k/b_n leave the arc?".
-It uses the chain's divisibility: past the one-digit terms it reduces k
-once, modulo the last term it needs, and then walks a residue ladder down
-the chain, each step a division between neighbouring terms, until a
-residue is zero.
+Two kernels walk k/b_n along the chain. ``first_arc_exit`` answers "where
+does k/b_n first leave the arc at level m?", which the sequence witnesses
+need; ``arc_ratio`` answers "how far from 0 does k/b_n get?" as one exact
+pair for every level, which the direct membership route reads. Both use
+the chain's divisibility: past the one-digit terms they reduce k once,
+modulo the last term they need, and then walk a residue ladder down the
+chain, each step a division between neighbouring terms, until a residue is
+zero.
 
 ``trailing_zeros`` lets callers shift powers of two out of an integer
 before a gcd or a division: CPython divides big integers by schoolbook long
@@ -220,9 +223,65 @@ def first_arc_exit(k, terms, m):
     return least
 
 
+def arc_ratio(k, terms):
+    """The exact pair (t, b) of the largest |wrap_half(k, b_n)| / b_n over
+    n >= 1, (0, 1) for k = 0. It does not depend on the level m: k/b_n
+    stays in the closed arc [-1/(4m), 1/(4m)] for every n exactly when
+    4m * t <= b.
+
+    From the first term b_n >= 2|k| on, the ratio is |k|/b_n, which falls as
+    n grows, so the walk ends at that term; ``terms`` must be a divisibility
+    chain that contains it. The terms below it are walked as in
+    ``first_arc_exit``, with no early exit: the one-digit terms bottom-up,
+    skipped when the largest of them divides k, then the residue ladder,
+    with its mask rungs and its stop at a zero residue. Ratios are compared
+    by cross-multiplication.
+    """
+    if k == 0:
+        return 0, 1
+    ak = -k if k < 0 else k
+    bound = 2 * ak
+    tn, td = 0, 1
+    start = 1
+    if bound > _ONE_DIGIT:
+        last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
+        if last and not k % terms[last]:
+            start = last + 1
+    for n in range(start, len(terms)):
+        b = terms[n]
+        if b >= bound or b >= _ONE_DIGIT:
+            break
+        t = k % b
+        if (t << 1) >= b:
+            t = b - t
+        if t * td > tn * b:
+            tn, td = t, b
+    else:
+        raise ValueError("pivot prefix too short for membership scan")
+    top = bisect_left(terms, bound, n)
+    if top == len(terms):
+        raise ValueError("pivot prefix too short for membership scan")
+    r = k
+    for i in range(top - 1, n - 1, -1):
+        b = terms[i]
+        if b & (b - 1):
+            r %= b
+        else:  # a power of two: a mask, not a long division
+            r &= b - 1
+        if not r:
+            break
+        t = b - r if (r << 1) >= b else r
+        if t * td > tn * b:
+            tn, td = t, b
+    b = terms[top]
+    return (ak, b) if ak * td > tn * b else (tn, td)
+
+
 def member_direct_scan(k, terms, m):
-    """Whether k/b_n stays within the closed arc [-1/(4m), 1/(4m)] for all n >= 1."""
-    return first_arc_exit(k, terms, m) is None
+    """Whether k/b_n stays within the closed arc [-1/(4m), 1/(4m)] for all
+    n >= 1, read off ``arc_ratio``; ``terms`` must reach a term >= 2|k|."""
+    t, b = arc_ratio(k, terms)
+    return 4 * m * t <= b
 
 
 def member_partial_scan(k, terms, m):

@@ -40,7 +40,7 @@ from ztop.neighborhoods import (
     route_violations,
 )
 from ztop.pivots import MultiplierChain, TwoPowerExponent, make_pivots
-from ztop.torus import canonicalize
+from ztop.torus import canonicalize, check_positive_int
 
 HALF_POINT = canonicalize(Fraction(1, 2))  # canonical representative -1/2
 
@@ -77,6 +77,7 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
     implies member implies necessary; strictness = 128 over the square
     chain at m = 1 is a member failing the sufficient test.
     """
+    ms = tuple(ms)  # an iterator would be used up by the first chain
     pivots_by_name = _two_power_families()
     eq_bad = chain_bad = 0
     first_eq = first_chain = None
@@ -93,7 +94,7 @@ def membership_sweep(limit: int = 10**4, ms=(1, 2, 4, 8)):
         decompose(128, square), 1, "sufficient"
     )
     detail = (
-        f"swept |k| <= {limit}, m in {tuple(ms)}, 3 chains: "
+        f"swept |k| <= {limit}, m in {ms}, 3 chains: "
         f"{eq_bad} equivalence violations, {chain_bad} implication violations, "
         f"strictness witness {'holds' if strict else 'MISSING'}"
     )
@@ -223,6 +224,7 @@ def duality_shadow(q_max: int = 10**3):
     denominator divides some chain term, checked against an independent
     trial-division prime-support oracle over the square and 2,3-periodic
     chains."""
+    check_positive_int(q_max, "q_max")
 
     def prime_support(n):
         support = set()

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from ztop._kernels import coefficient_checks, decompose_digits
 from ztop.pivots import PivotSequence
-from ztop.torus import check_int, exact_rational
+from ztop.torus import check_int, check_positive_int, exact_rational
 
 
 def nearest_int(q) -> int:
@@ -122,7 +122,7 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[tuple[int, Co
     """The pairs (l, check) for every l with |l| <= limit whose balanced
     digits fail to recompose to l or break a balance bound, in increasing
     order of l; ``check`` is what ``recompose_and_check(decompose(l,
-    pivots))`` reports.
+    pivots))`` reports. ``limit`` must be an int >= 1.
 
     The sweep form of those two wrappers: the chain prefix is fetched once
     and every l != 0 goes through the same ``decompose_digits`` kernel and,
@@ -137,7 +137,7 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[tuple[int, Co
     are the digits of -l checked. That holds for any digit kernel, so the
     failures are those of checking every l.
     """
-    terms = pivots.terms_until(limit, extra=1)
+    terms = pivots.terms_until(check_positive_int(limit, "limit"), extra=1)
     negatives = []
     positives = []
     for l in range(1, limit + 1):

@@ -10,14 +10,16 @@ topologies a pivot chain induces on the integers:
 
 Four routes into the uniform question are provided: the direct scan, the
 equivalent partial-sum criterion on the balanced digits, and one-sided
-digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). The last
-three read two exact pairs from the ``digit_ratios`` kernel: the largest
-|k_n| b_n / b_{n+1} and the largest |sum_{i<=n} k_i b_i| / b_{n+1}. Neither
-depends on the level m, so at every level each route is one comparison.
+digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). Each reads
+an exact pair that does not depend on the level m: the direct scan the
+largest |k/b_n mod 1| from the ``arc_ratio`` kernel, the last three the
+largest |k_n| b_n / b_{n+1} and the largest |sum_{i<=n} k_i b_i| / b_{n+1}
+from ``digit_ratios``. So at every level each route is one comparison.
 ``route_violations`` runs all four routes over a range of k and a set of
 levels on the kernels directly: it fetches the chain prefix once,
-decomposes each k and reads its two pairs once, and returns each failure
-with the answers it compared.
+decomposes each k and reads its three pairs once, tests the levels only
+for a k whose routes stop holding at different levels, and returns each
+failure with the answers it compared.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -51,6 +53,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from ztop._kernels import (
+    arc_ratio,
     arc_sieve,
     decompose_digits,
     digit_ratios,
@@ -148,22 +151,40 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     An equivalence row (k, m, direct, partial) is where ``member_direct``
     and ``member_partial_sums`` disagree; an implication row
     (k, m, sufficient, direct, necessary) is where "sufficient implies
-    member implies necessary" fails.
+    member implies necessary" fails. ``limit`` must be an int >= 1 and
+    ``ms``, any iterable, must hold at least one level.
 
     The sweep form of the public routes: the chain prefix is fetched once,
     each k, 0 included, is decomposed once, and the routes run on the
-    kernels the public functions use, the last three on the two
-    ``digit_ratios`` pairs of k.
+    kernels the public functions use, the direct one on the ``arc_ratio``
+    pair of k and the last three on its two ``digit_ratios`` pairs. None of
+    the pairs depends on m: a route whose test is 4m * n <= d holds exactly
+    at the levels m <= d // (4n). When the direct and partial-sum routes
+    hold up to the same level, and the sufficient test's last level is at
+    most that one and the necessary test's at least, k breaks no claim at
+    any level and the level loop is skipped; so it is when every
+    numerator is 0, which only k = 0 gives.
     """
+    check_positive_int(limit, "limit")
+    ms = tuple(ms)
+    if not ms:
+        raise ValueError(f"ms must hold at least one arc level, got {ms!r}")
     for m in ms:
         check_level(m)
-    terms = pivots.terms_until(4 * max(ms, default=1) * limit, extra=1)
+    terms = pivots.terms_until(4 * max(ms) * limit, extra=1)
     equivalence, implication = [], []
     for k in range(-limit, limit + 1):
+        an, ad = arc_ratio(k, terms)
         digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
         (dn, dd), (pn, pd) = digit_ratios(digits, terms)
+        if an and pn and dn:
+            md = ad // (4 * an)
+            if md == pd // (4 * pn) and dd // (8 * dn) <= md <= 3 * dd // (8 * dn):
+                continue
+        elif not (an or pn or dn):
+            continue
         for m in ms:
-            direct = member_direct_scan(k, terms, m)
+            direct = 4 * m * an <= ad
             if direct != (4 * m * pn <= pd):
                 equivalence.append((k, m, direct, not direct))  # the partial sums said otherwise
             # a member must pass the necessary test, a non-member fail the sufficient one

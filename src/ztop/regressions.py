@@ -12,7 +12,7 @@ from ztop import acceptance
 from ztop.decomposition import decompose, recompose_and_check
 from ztop.neighborhoods import coeff_bound_test, member_direct, member_partial_sums
 from ztop.pivots import BitBudgetExceeded, TwoPowerExponent, make_pivots
-from ztop.torus import canonicalize, in_arc, int_scale
+from ztop.torus import canonicalize, check_positive_int, in_arc, int_scale
 
 
 def _square():
@@ -39,6 +39,7 @@ def check_spot_equivalence(seed: int = 0, samples: int = 200):
     """Seeded random spot checks: the direct and partial-sum membership
     routes agree, and digit round-trips hold, outside the exhaustive sweep
     ranges."""
+    check_positive_int(samples, "samples")
     rng = random.Random(seed)
     square = _square()
     linear = make_pivots(TwoPowerExponent("linear"))

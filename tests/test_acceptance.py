@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztop import acceptance, convergence, decomposition, neighborhoods, regressions
@@ -207,16 +207,16 @@ def test_round_trip_failures_match_checking_every_integer(chain, edits, odd):
         assert decomposition.round_trip_failures(pivots, LIMIT) == [row for row in checks if not row[1].ok]
 
 
-def corrupt_kernel(monkeypatch, name, target_k, target_m):
-    """Flip the answer of neighborhoods.<name>(k, terms, m) at one (k, m)
-    on the linear chain."""
-    original = getattr(neighborhoods, name)
+def corrupt_arc_ratio(monkeypatch, target_k, value):
+    """Replace arc_ratio(k, terms) by the pair ``value`` at k == target_k on
+    the linear chain, as the sweep reads it: the direct route then holds
+    exactly at the levels m with 4m * value[0] <= value[1]."""
+    original = neighborhoods.arc_ratio
 
-    def corrupted(k, terms, m):
-        answer = original(k, terms, m)
-        return not answer if (k, m) == (target_k, target_m) and on_linear(terms) else answer
+    def corrupted(k, terms):
+        return value if k == target_k and on_linear(terms) else original(k, terms)
 
-    monkeypatch.setattr(neighborhoods, name, corrupted)
+    monkeypatch.setattr(neighborhoods, "arc_ratio", corrupted)
 
 
 def corrupt_ratios(monkeypatch, target_value, pair, value):
@@ -250,8 +250,9 @@ def test_membership_sweep_reports_one_corrupted_partial_route(monkeypatch):
 
 def test_membership_sweep_reports_one_corrupted_direct_route(monkeypatch):
     # k = LIMIT is no member over the linear chain, and its digit ratio 1/2
-    # fails the necessary test, so a flipped direct answer breaks both claims
-    corrupt_kernel(monkeypatch, "member_direct_scan", LIMIT, 1)
+    # fails the necessary test, so a direct answer flipped at m = 1 breaks
+    # both claims: the ratio 1/4 passes m = 1 alone
+    corrupt_arc_ratio(monkeypatch, LIMIT, (1, 4))
     eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT)
     assert (eq_ok, chain_ok) == (False, False)
     assert "1 equivalence violations, 1 implication violations" in detail
@@ -270,14 +271,91 @@ def test_membership_sweep_reports_one_corrupted_digit_ratio(monkeypatch):
 
 
 def test_membership_sweep_reports_a_corrupted_zero(monkeypatch):
-    # 0 goes through the kernels like every other k
-    corrupt_kernel(monkeypatch, "member_direct_scan", 0, 4)
-    eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT)
+    # 0 goes through the kernels like every other k. The ratio 1/8 fails
+    # every level from 4 on, so only m = 4 is swept
+    corrupt_arc_ratio(monkeypatch, 0, (1, 8))
+    eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT, ms=(4,))
     assert (eq_ok, chain_ok) == (False, False)
     assert "1 equivalence violations, 1 implication violations" in detail
     assert detail.endswith(
         "; first equivalence: ('linear', 0, 4, False, True)"
         "; first implication: ('linear', 0, 4, True, False, True)"
+    )
+
+
+# small pairs, so that the levels where drawn routes stop holding often meet
+RATIO_PAIRS = st.tuples(st.integers(0, 3), st.integers(1, 32))
+
+
+@pytest.mark.parametrize("chain", ["linear", "chain:2,3"])
+@settings(max_examples=60, deadline=None)
+@given(
+    corrupt=st.dictionaries(
+        st.integers(-LIMIT, LIMIT),
+        st.tuples(st.none() | RATIO_PAIRS, st.none() | st.tuples(RATIO_PAIRS, RATIO_PAIRS)),
+        max_size=8,
+    ),
+    ms=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+)
+# at k = 5 and 6 both routes hold up to m = 2; at 5 the necessary test
+# stops at m = 1, at 6 the sufficient one holds up to m = 8
+@example(corrupt={5: ((1, 8), ((3, 8), (1, 8))), 6: ((1, 8), ((1, 64), (1, 8)))}, ms=[3, 2])
+def test_route_violations_match_checking_every_level(chain, corrupt, ms):
+    # arc_ratio and digit_ratios answer drawn pairs, zeros included, at
+    # drawn k; the sweep, which skips a k whose routes' last levels agree,
+    # must return the rows of testing every k at every level of ``ms``
+    pivots = make_pivots(chain)
+    terms = pivots.terms_until(4 * max(ms) * LIMIT, extra=1)
+    original_arc, original_digits = neighborhoods.arc_ratio, neighborhoods.digit_ratios
+
+    def arc_ratio(k, terms):
+        pair = corrupt.get(k, (None, None))[0]
+        return original_arc(k, terms) if pair is None else pair
+
+    def digit_ratios(digits, terms):
+        pairs = corrupt.get(sum(d * b for d, b in zip(digits, terms)), (None, None))[1]
+        return original_digits(digits, terms) if pairs is None else pairs
+
+    equivalence, implication = [], []
+    for k in range(-LIMIT, LIMIT + 1):
+        an, ad = arc_ratio(k, terms)
+        (dn, dd), (pn, pd) = digit_ratios(decomposition.decompose(k, pivots).coeffs, terms)
+        for m in ms:
+            direct, partial = 4 * m * an <= ad, 4 * m * pn <= pd
+            sufficient, necessary = 8 * m * dn <= dd, 8 * m * dn <= 3 * dd
+            if direct != partial:
+                equivalence.append((k, m, direct, partial))
+            if (sufficient and not direct) or (direct and not necessary):
+                implication.append((k, m, sufficient, direct, necessary))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(neighborhoods, "arc_ratio", arc_ratio)
+        mp.setattr(neighborhoods, "digit_ratios", digit_ratios)
+        assert neighborhoods.route_violations(pivots, LIMIT, ms) == (equivalence, implication)
+
+
+# -- a sweep that would check nothing is refused --------------------------------
+
+
+@pytest.mark.parametrize(
+    "sweep, kwargs, message",
+    [
+        (acceptance.decomposition_soundness, {"limit": -1}, "limit must be a positive integer, got -1"),
+        (acceptance.membership_sweep, {"limit": 0}, "limit must be a positive integer, got 0"),
+        (acceptance.membership_sweep, {"ms": ()}, "ms must hold at least one arc level, got ()"),
+        (regressions.check_spot_equivalence, {"samples": True}, "samples must be a positive integer, got True"),
+        (acceptance.duality_shadow, {"q_max": 0}, "q_max must be a positive integer, got 0"),
+    ],
+)
+def test_a_vacuous_sweep_is_refused(sweep, kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        sweep(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_membership_sweep_reads_its_levels_once():
+    # every chain is swept at the levels of a one-shot iterator
+    assert acceptance.membership_sweep(limit=LIMIT, ms=iter([2, 1])) == acceptance.membership_sweep(
+        limit=LIMIT, ms=(2, 1)
     )
 
 

@@ -15,10 +15,11 @@ The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. The ``blocks-budget-square-pivotsucc`` case
 was saved when the peak-decay cross-check learnt to report a refused scan as
-null rather than as a pass. The ``member`` and ``decompose`` cases were saved
-before the partial-sum route and both digit tests moved onto one pair of
-exact maxima per k. ``<name>.stderr``, when present, holds its
-error output (absent means none). Each header's ``config``, fed back through
+null rather than as a pass. The ``member-square-128``, ``member-square-6``
+and ``decompose`` cases were saved before the partial-sum route and both
+digit tests moved onto one pair of exact maxima per k; the other three
+``member`` cases, before the direct route did. ``<name>.stderr``, when
+present, holds its error output (absent means none). Each header's ``config``, fed back through
 ``--config``, must print the same bytes. Any change to a verdict, a survivor list,
 a failing k or a budget refusal shows here.
 """
@@ -118,6 +119,15 @@ CASES = {
     "member-square-128": (["member", "--pivots", "square", "--m", "1", "--k", "128"], None, 0),
     # a non-member that passes the necessary test
     "member-square-6": (["member", "--pivots", "square", "--m", "1", "--k", "6"], None, 0),
+    # k = 2^118 + 2^6 over 2^(n!): the residue ladder masks at b_5 = 2^120,
+    # where k exits at 1/4 + 2^-114
+    "member-factorial-past-2-30": (
+        ["member", "--pivots", "factorial", "--m", "1", "--k", str(2**118 + 2**6)], None, 0),
+    # k = b_60/4 + b_30: the ladder divides between terms of 2^a 3^b
+    "member-chain-2-3-past-2-30": (
+        ["member", "--pivots", "chain:2,3", "--m", "1", "--k", "55268479930653524459520"], None, 0),
+    # k = b_12/8 = 2^141 at m = 2, exactly on the arc's end
+    "member-square-arc-end": (["member", "--pivots", "square", "--m", "2", "--k", str(2**141)], None, 0),
     "decompose-chain-2-3-minus-1000": (
         ["decompose", "--pivots", "chain:2,3", "--l", "-1000"], None, 0),
     # the cross-check scans l_1..l_8 for both levels; l_8 = b_9 = 2^81 needs

@@ -7,7 +7,11 @@ kernels rely on: from there on every k/b_n is inside the arc. Values up to
 about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
 multiples of chain terms reach its zero-residue shortcuts, and the
 ``pivothalf`` and ``pivotsucc`` terms of the two-power chains, up to 2^18
-bits, its rungs that mask instead of dividing.
+bits, its rungs that mask instead of dividing. The pair of ``arc_ratio``
+is checked against the Fraction maximum of |k/b_n mod 1| up to two indices
+past the first term >= 2|k|, and its test 4m * t <= b against the oracle at
+every level, on the arc boundaries, the ladder values and the multiples of
+terms, over the pow2 chain too.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
@@ -53,6 +57,7 @@ from hypothesis import strategies as st
 
 from ztop import neighborhoods
 from ztop._kernels import (
+    arc_ratio,
     arc_sieve,
     coefficient_checks,
     decompose_digits,
@@ -254,16 +259,24 @@ def test_first_arc_exit_on_multiples_of_a_term(text):
                 assert first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m) == first, (j, k, m)
 
 
+def one_digit_multiples(pivots):
+    """Multiples of the largest one-digit term that the next term does not
+    divide."""
+    top = last_index_below(pivots, 30)
+    b, ratio = pivots.term(top), pivots.term(top + 1) // pivots.term(top)
+    ks = []
+    for c in (1, ratio - 1, ratio + 1, ratio**2 + 1, 5 * ratio**3 - 1, 2**200 * ratio + 1):
+        ks += [c * b, -c * b]
+    assert all(k % pivots.term(top + 1) for k in ks)
+    return ks
+
+
 @pytest.mark.parametrize("text", sorted(CHAINS))
 def test_first_arc_exit_when_only_the_one_digit_terms_divide(text):
     pivots = CHAINS[text]
-    top = last_index_below(pivots, 30)
-    b, ratio = pivots.term(top), pivots.term(top + 1) // pivots.term(top)
-    for c in (1, ratio - 1, ratio + 1, ratio**2 + 1, 5 * ratio**3 - 1, 2**200 * ratio + 1):
-        for k in (c * b, -c * b):
-            assert k % pivots.term(top + 1)
-            for m in LEVELS:
-                check_routes(k, pivots, m)
+    for k in one_digit_multiples(pivots):
+        for m in LEVELS:
+            check_routes(k, pivots, m)
 
 
 # Every term of pow2 (2^(2^n)) and factorial (2^(n!)) is a power of two, and
@@ -285,6 +298,81 @@ def test_first_arc_exit_on_two_power_chains(text, family):
                 first = (oracle_exits(k, pivots, m) or [None])[0]
                 got = first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m)
                 assert got == first, (j, k < 0, m)
+
+
+# -- the level-free direct ratio ------------------------------------------------
+
+# arc_ratio walks the terms below 2|k| as first_arc_exit does, with no early
+# exit, and ends at the first term >= 2|k|; its pair is checked against the
+# Fraction maximum over two more terms, and its membership test 4m * t <= b
+# against the oracle's exits at every level.
+ARC_CHAINS = {**CHAINS, "pow2": make_pivots("pow2")}
+
+
+def oracle_arc_ratio(k, pivots):
+    """max |canonicalize(k/b_n)| over n >= 1, up to two indices past the
+    first term >= 2|k|."""
+    best, n, past = Fraction(0), 1, 0
+    while past < 2:
+        b = pivots.term(n)
+        best = max(best, abs(oracle_point(k, b).rep))
+        if b >= 2 * abs(k):
+            past += 1
+        n += 1
+    return best
+
+
+def check_arc_ratio(k, pivots):
+    t, b = arc_ratio(k, pivots.terms_until(2 * abs(k)))
+    assert b >= 1 and Fraction(t, b) == oracle_arc_ratio(k, pivots), k
+    for m in LEVELS:
+        assert (4 * m * t <= b) == (not oracle_exits(k, pivots, m)), (k, m)
+
+
+def test_arc_ratio_of_zero():
+    assert arc_ratio(0, [1]) == (0, 1)
+
+
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
+def test_arc_ratio_on_arc_boundaries(text):
+    pivots = ARC_CHAINS[text]
+    for m in LEVELS:
+        for n in range(1, 8):
+            for k in boundary_values(pivots, m, n):
+                check_arc_ratio(k, pivots)
+
+
+@settings(deadline=None)
+@given(ladder_values())
+def test_arc_ratio_on_the_ladder(case):
+    text, _, k = case
+    check_arc_ratio(k, CHAINS[text])
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_CASES))
+def test_arc_ratio_at_chosen_rungs(name):
+    text, _, k, _ = LADDER_CASES[name]
+    check_arc_ratio(k, CHAINS[text])
+
+
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
+def test_arc_ratio_on_multiples_of_a_term(text):
+    pivots = ARC_CHAINS[text]
+    top = last_index_below(pivots, 30)
+    ks = one_digit_multiples(pivots)
+    for j in sorted({1, 2, top - 1, top, top + 1, top + 2, last_index_below(pivots, K_BITS)}):
+        ks += term_multiples(pivots, j)
+    for k in ks:
+        check_arc_ratio(k, pivots)
+
+
+def test_arc_ratio_refuses_a_short_prefix():
+    terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
+    assert arc_ratio(2**35, terms) == (2**35, 2**36)
+    with pytest.raises(ValueError, match="pivot prefix too short"):
+        arc_ratio(2**35 + 1, terms)  # the ladder's terms, but none >= 2|k|
+    with pytest.raises(ValueError, match="pivot prefix too short"):
+        arc_ratio(2**20, terms[:4])  # one-digit terms only
 
 
 # -- the one-sided digit tests ---------------------------------------------------
