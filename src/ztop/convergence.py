@@ -16,12 +16,17 @@ returns an explicit Verdict over a horizon:
   horizon.
 
 ``prefix_test``, ``falsify_uniform`` and the cross-check of
-``peak_decay_report`` share one witness scan, which evaluates l_j in order
-of j, so a budget refusal keeps the witnesses found before it. Uniform
-witnesses come from the kernel ``first_arc_exit``, which reduces l_j down
-the chain by a residue ladder, each step a division between neighbouring
-terms, and stops at a zero residue. ``peak_decay_report`` evaluates each
-l_j once.
+``peak_decay_report`` share one witness scan. It evaluates l_j in order of
+j, ``SCAN_CHUNK`` indices at a time, so it holds at most one chunk of
+values beyond the chain memo: a chain-derived family builds the chain once
+per chunk and reads the chunk's values off the memo, the other families
+evaluate term by term. A budget refusal is raised after the witnesses of
+every term before it, so those witnesses are kept. Uniform witnesses come
+from the kernel ``first_arc_exit``, which reduces l_j down the chain by a
+residue ladder, each step a division between neighbouring terms, and stops
+at a zero residue. ``block_statistics`` and the cross-checks of
+``peak_decay_report`` read one values list, so a report evaluates each l_j
+once.
 
 Chain terms reach 10^5-10^6 bits, and CPython divides such integers by
 schoolbook long division, at a cost of the quotient's size times the
@@ -51,14 +56,13 @@ showing it is not necessary.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from ztop._kernels import first_arc_exit, trailing_zeros, wrap_half
-from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform, member_linear
+from ztop._kernels import divides, first_arc_exit, trailing_zeros, wrap_half
+from ztop.neighborhoods import Linear, NeighborhoodSpec, Uniform
 from ztop.pivots import BitBudgetExceeded, PivotSequence, resolve_bit_budget
 from ztop.torus import TorusPoint, check_int, check_level, check_positive_int
 
@@ -118,37 +122,65 @@ def make_sequence(
 def eval_sequence(seq: IntegerSequence, j: int) -> int:
     """Exact term l_j, j >= 1. Chain-derived families inherit the chain's
     bit budget; the pure two-power families guard the shift width directly."""
-    if j < 1:
-        raise ValueError("sequence index must be >= 1")
+    check_positive_int(j, "sequence index")
+    values, refusal = _values(seq, j, j + 1)
+    if refusal is not None:
+        raise refusal
+    return values[0]
+
+
+def _values(seq: IntegerSequence, start: int, stop: int):
+    """([l_start, ..., l_{stop-1}], refusal) for 1 <= start <= stop: the
+    values up to the first term the bit budget refuses, and that
+    BitBudgetExceeded, or None when every term was evaluated.
+
+    A chain family builds b_stop once, the last term l_{stop-1} needs, and
+    reads every value off the live memo; the other families evaluate term
+    by term."""
     fam = seq.family
+    if fam in _NEEDS_PIVOTS:
+        refusal = None
+        try:
+            seq.pivots.term(stop)
+        except BitBudgetExceeded as exc:
+            refusal = exc
+        b = seq.pivots.terms_until(1)
+        stop = min(stop, len(b) - 1)  # l_j needs b_{j+1}
+        if fam == "geomdiff":
+            values = [b[j + 1] - b[j] for j in range(start, stop)]
+        elif fam == "wgeomdiff":
+            values = [j * b[j + 1] - b[j] for j in range(start, stop)]
+        elif fam == "pivothalf":
+            # b_j * floor(r / 2) with r = b_{j+1} / b_j: b_{j+1} / 2 when r
+            # is even, (b_{j+1} - b_j) / 2 when r is odd, that is when b_j
+            # and b_{j+1} hold the same power of two
+            values = [
+                (hi - lo) >> 1 if lo & -lo == hi & -hi else hi >> 1
+                for lo, hi in zip(b[start:stop], b[start + 1 : stop + 1])
+            ]
+        else:  # pivotsucc
+            values = b[start + 1 : stop + 1]
+        return values, refusal
     if fam == "zero":
-        return 0
-    if fam == "custom":
-        return check_int(seq.fn(j), "custom term")
-    if fam == "pow2":
-        _check_shift(seq, j)
-        return 1 << j
-    if fam == "blockexample":
-        r = math.isqrt(j + 2)
-        if r * r == j + 2 and r >= 2:
-            _check_shift(seq, j + 2)
-            return 1 << (j + 2)
-        _check_shift(seq, j)
-        return 1 << j
-    b = seq.pivots.term
-    if fam == "geomdiff":
-        return b(j + 1) - b(j)
-    if fam == "wgeomdiff":
-        return j * b(j + 1) - b(j)
-    if fam == "pivothalf":
-        # b_j * floor(r / 2) with r = b_{j+1} / b_j: b_{j+1} / 2 when r is
-        # even, (b_{j+1} - b_j) / 2 when r is odd, that is when b_j and
-        # b_{j+1} hold the same power of two
-        lo, hi = b(j), b(j + 1)
-        if lo & -lo == hi & -hi:
-            return (hi - lo) >> 1
-        return hi >> 1
-    return b(j + 1)  # pivotsucc
+        return [0] * (stop - start), None
+    values = []
+    try:
+        if fam == "custom":
+            for j in range(start, stop):
+                values.append(check_int(seq.fn(j), "custom term"))
+        elif fam == "pow2":
+            for j in range(start, stop):
+                _check_shift(seq, j)
+                values.append(1 << j)
+        else:  # blockexample: 2^(j+2) at the indices n^2 - 2, n >= 2, else 2^j
+            for j in range(start, stop):
+                r = math.isqrt(j + 2)
+                width = j + 2 if r * r == j + 2 and r >= 2 else j
+                _check_shift(seq, width)
+                values.append(1 << width)
+    except BitBudgetExceeded as exc:
+        return values, exc
+    return values, None
 
 
 def _check_shift(seq, width):
@@ -170,22 +202,54 @@ class Witness(NamedTuple):
     value: Optional[TorusPoint]
 
 
-def _witnesses(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int, start: int = 1):
-    """The Witness of every start <= j <= horizon whose term falls outside
-    the neighbourhood, in order of j. Each l_j is evaluated when the scan
-    reaches it, so a BitBudgetExceeded comes after every earlier witness."""
+SCAN_CHUNK = 64  # l_j evaluated per step of a witness scan
+
+
+def _chunks(seq: IntegerSequence, horizon: int):
+    """(j0, [l_j0, ..., l_j1]) for consecutive runs of at most SCAN_CHUNK
+    indices covering [1, horizon], in order; a run the bit budget cuts
+    short is yielded up to the refused term, whose BitBudgetExceeded is
+    raised next. No empty run is yielded."""
+    for start in range(1, horizon + 1, SCAN_CHUNK):
+        values, refusal = _values(seq, start, min(start + SCAN_CHUNK, horizon + 1))
+        if values:
+            yield start, values
+        if refusal is not None:
+            raise refusal
+
+
+def _witnesses(spec: NeighborhoodSpec, chunks):
+    """The Witness of every term that falls outside the neighbourhood, in
+    order of j. ``chunks`` yields pairs (j0, [l_j0, l_j0+1, ...]) in order
+    of j; each chunk is scanned before the next is evaluated, so a
+    BitBudgetExceeded comes after every earlier witness.
+
+    A linear scan reads b_n once, at the first chunk, and tests b_n | l_j.
+    A uniform scan reads the live chain memo and grows it only for an l_j
+    with 4m|l_j| past its last term."""
     pivots, family = spec.pivots, spec.family
-    for j in range(start, horizon + 1):
-        l = eval_sequence(seq, j)
-        if isinstance(family, Linear):
-            if not member_linear(l, pivots, family.n):
-                yield Witness(j, family.n, None)
-        elif l:
-            terms = pivots.terms_until(4 * family.m * abs(l))
-            n = first_arc_exit(l, terms, family.m)
-            if n is not None:
-                b = terms[n]
-                yield Witness(j, n, TorusPoint(_ratio(wrap_half(l, b), b)))
+    if isinstance(family, Linear):
+        n = family.n
+        b = None
+        for start, values in chunks:
+            if b is None:
+                b = pivots.term(n)
+            for j, l in enumerate(values, start):
+                if not divides(b, l):
+                    yield Witness(j, n, None)
+        return
+    m = family.m
+    terms = pivots.terms_until(1)
+    for start, values in chunks:
+        for j, l in enumerate(values, start):
+            if l:
+                bound = 4 * m * abs(l)
+                if terms[-1] < bound:
+                    pivots.terms_until(bound)
+                n = first_arc_exit(l, terms, m)
+                if n is not None:
+                    b = terms[n]
+                    yield Witness(j, n, TorusPoint(_ratio(wrap_half(l, b), b)))
 
 
 def _ratio(p, q):
@@ -218,7 +282,7 @@ def prefix_test(seq: IntegerSequence, spec: NeighborhoodSpec, horizon: int) -> V
     check_positive_int(horizon, "horizon")
     fails: list[Witness] = []
     try:
-        for witness in _witnesses(seq, spec, horizon):
+        for witness in _witnesses(spec, _chunks(seq, horizon)):
             fails.append(witness)
     except BitBudgetExceeded as exc:
         return Verdict("inconclusive", None, tuple(fails), horizon, spec, note=str(exc))
@@ -239,7 +303,7 @@ def falsify_uniform(
     Raises BitBudgetExceeded where the uniform prefix test is inconclusive."""
     spec = NeighborhoodSpec(pivots, Uniform(m))
     check_positive_int(horizon, "horizon")
-    return list(_witnesses(seq, spec, horizon))
+    return list(_witnesses(spec, _chunks(seq, horizon)))
 
 
 # -- block statistics --------------------------------------------------------
@@ -279,9 +343,17 @@ def block_statistics(
     indices coincide (the degenerate rule M_n = {j_n}); for strictly
     increasing settle indices they partition [j_1, horizon].
     """
+    return _block_statistics(seq, pivots, horizon, levels)[1]
+
+
+def _block_statistics(seq, pivots, horizon, levels):
+    """(values, stats): ``block_statistics`` and the values [l_1, ...,
+    l_horizon] it read, for a caller that scans them again."""
     check_positive_int(horizon, "horizon")
     cap = horizon if levels is None else check_positive_int(levels, "levels")
-    values = [eval_sequence(seq, j) for j in range(1, horizon + 1)]
+    values, refusal = _values(seq, 1, horizon + 1)
+    if refusal is not None:
+        raise refusal
     # suffix[s] = (t, o) with gcd(l_{s+1}, ..., l_horizon) = o * 2^t, o odd,
     # and o = 0 where that gcd is 0, as at s = horizon. b_n = c * 2^e, c odd,
     # divides every term from index s + 1 on iff o = 0, or e <= t and c | o
@@ -299,12 +371,15 @@ def block_statistics(
     missing: list[int] = []
     note = ""
     n_top = 0
+    terms = pivots.terms_until(1)
     for n in range(1, cap + 2):
-        try:
-            b = pivots.term(n)
-        except BitBudgetExceeded as exc:
-            note = str(exc)
-            break
+        if n == len(terms):
+            try:
+                pivots.term(n)
+            except BitBudgetExceeded as exc:
+                note = str(exc)
+                break
+        b = terms[n]
         e = trailing_zeros(b)
         c = b >> e
         t, o = suffix[s]
@@ -328,8 +403,8 @@ def block_statistics(
                 continue
             # n < n_top, and the settle loop has already built b_{n_top}
             block = values[lo - 1 : hi]
-            peaks[n] = _ratio(max(max(block), -min(block)), pivots.term(n + 1))
-    return BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
+            peaks[n] = _ratio(max(max(block), -min(block)), terms[n + 1])
+    return values, BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
 
 
 class PeakDecayEntry(NamedTuple):
@@ -359,10 +434,9 @@ def peak_decay_report(
     j from block n0's first index to the horizon for a level-m witness, and
     is false at the first one, None at a budget refusal before it, and true
     otherwise. The block statistics and these scans read l_1..l_horizon from
-    one memo, so each term is evaluated once per report.
+    one values list, so each term is evaluated once per report.
     """
-    seq = IntegerSequence("custom", pivots, functools.cache(functools.partial(eval_sequence, seq)))
-    stats = block_statistics(seq, pivots, horizon, levels=levels)
+    values, stats = _block_statistics(seq, pivots, horizon, levels)
     entries = []
     computed = sorted(stats.peaks)
     for m in thresholds:
@@ -381,7 +455,8 @@ def peak_decay_report(
             continue
         else:
             n0 = min(n for n in computed if n > last_bad)
-        scan = _witnesses(seq, NeighborhoodSpec(pivots, Uniform(m)), horizon, stats.blocks[n0][0])
+        j0 = stats.blocks[n0][0]
+        scan = _witnesses(NeighborhoodSpec(pivots, Uniform(m)), [(j0, values[j0 - 1 :])])
         try:
             cross = next(scan, None) is None
         except BitBudgetExceeded:

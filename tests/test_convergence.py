@@ -21,6 +21,7 @@ from ztop.convergence import (
     peak_decay_report,
     prefix_test,
 )
+from ztop.convergence import SCAN_CHUNK, _chunks, _values
 from ztop.convergence import _ratio  # the exact ratio behind peaks and witness points
 from ztop.neighborhoods import Linear, Uniform, member_direct
 from ztop.pivots import BitBudgetExceeded, make_pivots
@@ -93,6 +94,55 @@ def test_a_sequence_budget_is_resolved_when_built(monkeypatch):
     assert pow2.bit_budget == 64
     with pytest.raises(BitBudgetExceeded, match=r"^term needs 65 bits \(budget 64\)$"):
         eval_sequence(pow2, 64)
+
+
+@pytest.mark.parametrize("family", ["zero", "pow2", "blockexample", "geomdiff", "custom"])
+@pytest.mark.parametrize("j", [0, -3, 2.5, 2.0, True, "2"], ids=repr)
+def test_eval_sequence_refuses_an_index_that_is_not_a_positive_int(family, j, square):
+    # 2.5 read 0 on zero, 2.0 raised a bare TypeError on pow2, True read l_1
+    seq = make_sequence(family, square, fn=(lambda i: i) if family == "custom" else None)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sequence index must be a positive integer, got {j!r}')}$"):
+        eval_sequence(seq, j)
+
+
+def _per_term(seq, horizon):
+    """l_1, l_2, ... by eval_sequence up to the first refused term, and the
+    refusal's message (None when l_1..l_horizon were all evaluated)."""
+    values = []
+    for j in range(1, horizon + 1):
+        try:
+            values.append(eval_sequence(seq, j))
+        except BitBudgetExceeded as exc:
+            return values, str(exc)
+    return values, None
+
+
+@pytest.mark.parametrize("budget", [None, 64], ids=["default-budget", "budget-64"])
+@pytest.mark.parametrize("chain", ["square", "linear", "factorial", "pow2", "chain:2,3", "poly:1,1"])
+@pytest.mark.parametrize("family", FAMILIES + ("custom",))
+def test_chunked_values_match_per_term_evaluation(family, chain, budget):
+    # the horizon crosses two chunk boundaries; each side gets a fresh
+    # chain, so neither reads a memo the other built
+    horizon = 2 * SCAN_CHUNK + 20
+
+    def sequence():
+        pivots = make_pivots(chain, bit_budget=budget)
+        # a custom term that reads the chain inherits its refusals
+        return make_sequence(family, pivots, fn=(lambda j: pivots.term(j) - j) if family == "custom" else None)
+
+    expected, message = _per_term(sequence(), horizon)
+    values, refusal = _values(sequence(), 1, horizon + 1)
+    assert values == expected
+    assert (None if refusal is None else str(refusal)) == message
+    chunked, chunk_message = [], None
+    try:
+        for start, chunk in _chunks(sequence(), horizon):
+            assert start == len(chunked) + 1 and 0 < len(chunk) <= SCAN_CHUNK
+            chunked += chunk
+    except BitBudgetExceeded as exc:
+        chunk_message = str(exc)
+    assert chunked == expected
+    assert chunk_message == message
 
 
 def test_make_sequence_validation(square):

@@ -10,7 +10,9 @@ tiled the chain's conditions (the ``square-second-segment`` and
 failing k by comparing two sieve masks (``pow2-second-segment``) or
 before linear windows moved onto the same sieve, with b_n as the step
 between members (``square-linear-second-segment``, ``square-linear-passes``).
-The ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
+The two ``mid-chunk`` cases were saved before the witness scan evaluated
+l_j a chunk at a time off the chain memo. The
+``verify-paper-quick-budget-64`` error was saved when a budget refusal in
 ``verify-paper`` learnt to name its check. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. The ``blocks-budget-square-pivotsucc`` case
@@ -103,6 +105,16 @@ CASES = {
     "converge-factorial-pivothalf": (
         ["converge", "--pivots", "factorial", "--sequence", "pivothalf", "--m", "1",
          "--horizon", "21"], None, 0),
+    # witnesses j = 1..3, then l_199 needs b_200, which is refused in the
+    # fourth run of l_j the scan evaluates together
+    "converge-budget-linear-mid-chunk": (
+        ["converge", "--pivots", "linear", "--sequence", "geomdiff", "--n", "4",
+         "--horizon", "300"], "200", 0),
+    # witnesses j = 1..187; l_188 is evaluated in the third run, and its
+    # scan needs b_200, which is refused before l_199 is
+    "converge-budget-uniform-mid-chunk": (
+        ["converge", "--pivots", "linear", "--sequence", "wgeomdiff", "--m", "2",
+         "--horizon", "300"], "200", 0),
     "blocks-square-pivotsucc": (
         ["blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
          "--thresholds", "1,2"], None, 0),
