@@ -5,14 +5,23 @@ neighbourhood membership scans and the window sieve.
 All functions work on plain arbitrary-precision integers plus pivot term
 lists materialized by the caller; no rationals are constructed here.
 
-Two kernels walk k/b_n along the chain. ``first_arc_exit`` answers "where
-does k/b_n first leave the arc at level m?", which the sequence witnesses
-need; ``arc_ratio`` answers "how far from 0 does k/b_n get?" as one exact
-pair for every level, which the direct membership route reads. Both use
-the chain's divisibility: past the one-digit terms they reduce k once,
-modulo the last term they need, and then walk a residue ladder down the
-chain, each step a division between neighbouring terms, until a residue is
-zero.
+The uniform neighbourhoods U_m are nested arcs, and one chain bound
+serves every level. Let b_T be the first term >= 2|k|. From b_T on, k/b_n
+is |k|/b_n on the circle, and that ratio falls as n grows: if b_T passes
+at level m, every later term passes, and if a later term fails, b_T fails
+first. So the terms up to b_T decide whether k is in U_m at every level m
+at once, and every uniform answer grows the chain to 2|k|, never to a
+bound that depends on m. The balanced digits of k read b_T too: they end
+at index T - 1, and the partial-sum and digit ratios divide by b_T last.
+
+Two kernels walk k/b_n along the chain up to b_T. ``first_arc_exit``
+answers "where does k/b_n first leave the arc at level m?", which the
+sequence witnesses need; ``arc_ratio`` answers "how far from 0 does k/b_n
+get?" as one exact pair for every level, which the direct membership route
+reads. Both use the chain's divisibility: past the one-digit terms they
+reduce k once, modulo the last term below b_T, and then walk a residue
+ladder down the chain, each step a division between neighbouring terms,
+until a residue is zero.
 
 ``trailing_zeros`` lets callers shift powers of two out of an integer
 before a gcd or a division: CPython divides big integers by schoolbook long
@@ -164,37 +173,29 @@ def first_arc_exit(k, terms, m):
     """The least n >= 1 with k/b_n outside the closed arc [-1/(4m), 1/(4m)],
     or None when there is none.
 
-    Only indices with b_n < 4m|k| need checking; beyond them |k|/b_n is at
-    most 1/(4m) and the canonical representative is k/b_n itself. ``terms``
-    must be a divisibility chain (b_n divides b_{n+1}) and must contain a
-    term >= 4m|k|.
-
-    Terms below 2^30 are tested bottom-up with k itself, stopping at the
-    first exit: dividing by a one-digit term is cheap. When the scan goes
-    past 2^30 and the largest one-digit term divides k, every one-digit term
-    divides k and passes, so that loop is skipped. The larger terms are
-    walked down a residue ladder. Since k mod b_n = (k mod b_{n+1}) mod b_n
-    along the chain, k is reduced once, modulo the last term below 4m|k|,
-    and each step below divides the previous residue by its neighbouring
-    term. A zero residue ends the ladder: the terms below it divide k and
-    pass. The least failing index the ladder passes wins. A rung whose term
-    is a power of two masks the residue's low bits instead of dividing: on
-    the pow2 chain the quotient of neighbouring terms has as many bits as
-    the divisor, and CPython's long division has no fast path for it.
+    ``terms`` must be a divisibility chain (b_n divides b_{n+1}) that
+    reaches b_T, the first term >= 2|k|, the bound every level shares. The
+    terms below b_T are walked as in ``arc_ratio``, with an exit test at
+    level m: the one-digit terms bottom-up, stopping at the first exit and
+    skipped when the largest of them divides k, then the residue ladder,
+    where the least failing index wins and a zero residue ends the walk.
+    Only when no term below b_T fails is b_T tested, as |k|/b_T: a later
+    term cannot fail first.
     """
     if k == 0:
         return None
     ak = -k if k < 0 else k
-    bound = 4 * m * ak
+    bound = 2 * ak
+    top = bisect_left(terms, bound)  # T
+    if top == len(terms):
+        raise ValueError("pivot prefix too short for membership scan")
     start = 1
     if bound > _ONE_DIGIT:
         last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
         if last and not k % terms[last]:
             start = last + 1
-    for n in range(start, len(terms)):
+    for n in range(start, top):
         b = terms[n]
-        if b >= bound:
-            return None
         if b >= _ONE_DIGIT:
             break
         t = k % b
@@ -203,8 +204,7 @@ def first_arc_exit(k, terms, m):
         if 4 * m * t > b:
             return n
     else:
-        raise ValueError("pivot prefix too short for membership scan")
-    top = bisect_left(terms, bound, n)
+        n = top
     least = None
     r = k
     for i in range(top - 1, n - 1, -1):
@@ -218,8 +218,8 @@ def first_arc_exit(k, terms, m):
         t = b - r if (r << 1) >= b else r
         if 4 * m * t > b:
             least = i
-    if least is None and top == len(terms):
-        raise ValueError("pivot prefix too short for membership scan")
+    if least is None and 4 * m * ak > terms[top]:
+        return top
     return least
 
 
@@ -229,27 +229,36 @@ def arc_ratio(k, terms):
     stays in the closed arc [-1/(4m), 1/(4m)] for every n exactly when
     4m * t <= b.
 
-    From the first term b_n >= 2|k| on, the ratio is |k|/b_n, which falls as
-    n grows, so the walk ends at that term; ``terms`` must be a divisibility
-    chain that contains it. The terms below it are walked as in
-    ``first_arc_exit``, with no early exit: the one-digit terms bottom-up,
-    skipped when the largest of them divides k, then the residue ladder,
-    with its mask rungs and its stop at a zero residue. Ratios are compared
-    by cross-multiplication.
+    The walk ends at b_T, the first term >= 2|k|, where the ratio is
+    |k|/b_T; ``terms`` must be a divisibility chain that contains it. The
+    terms below b_T are walked in two parts. The one-digit terms go
+    bottom-up with k itself, skipped when the largest of them divides k,
+    since then every one of them does. The larger terms go down a residue
+    ladder: since k mod b_n = (k mod b_{n+1}) mod b_n along the chain, k is
+    reduced once, modulo the last term below b_T, and each step below
+    divides the previous residue by its neighbouring term. A zero residue
+    ends the ladder: the terms below it divide k. A rung whose term is a
+    power of two masks the residue's low bits instead of dividing: on the
+    pow2 chain the quotient of neighbouring terms has as many bits as the
+    divisor, and CPython's long division has no fast path for it. Ratios
+    are compared by cross-multiplication.
     """
     if k == 0:
         return 0, 1
     ak = -k if k < 0 else k
     bound = 2 * ak
+    top = bisect_left(terms, bound)  # T
+    if top == len(terms):
+        raise ValueError("pivot prefix too short for membership scan")
     tn, td = 0, 1
     start = 1
     if bound > _ONE_DIGIT:
         last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
         if last and not k % terms[last]:
             start = last + 1
-    for n in range(start, len(terms)):
+    for n in range(start, top):
         b = terms[n]
-        if b >= bound or b >= _ONE_DIGIT:
+        if b >= _ONE_DIGIT:
             break
         t = k % b
         if (t << 1) >= b:
@@ -257,10 +266,7 @@ def arc_ratio(k, terms):
         if t * td > tn * b:
             tn, td = t, b
     else:
-        raise ValueError("pivot prefix too short for membership scan")
-    top = bisect_left(terms, bound, n)
-    if top == len(terms):
-        raise ValueError("pivot prefix too short for membership scan")
+        n = top
     r = k
     for i in range(top - 1, n - 1, -1):
         b = terms[i]
@@ -288,7 +294,7 @@ def member_partial_scan(k, terms, m):
     """Membership via the partial-sum criterion on the balanced digits of k:
     k belongs iff |sum_{s<n} k_s b_s| / b_n <= 1/(4m) for every n >= 1, read
     off the second pair of ``digit_ratios``. ``terms`` must reach b_{s+1}, s
-    the last nonzero digit, which a term >= 4m|k| guarantees.
+    the last nonzero digit, which a term >= 2|k| guarantees.
     """
     digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
     pn, pd = digit_ratios(digits, terms)[1]

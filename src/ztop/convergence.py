@@ -226,7 +226,8 @@ def _witnesses(spec: NeighborhoodSpec, chunks):
 
     A linear scan reads b_n once, at the first chunk, and tests b_n | l_j.
     A uniform scan reads the live chain memo and grows it only for an l_j
-    with 4m|l_j| past its last term."""
+    with 2|l_j| past its last term: the terms up to the first one >= 2|l_j|
+    decide l_j at every level."""
     pivots, family = spec.pivots, spec.family
     if isinstance(family, Linear):
         n = family.n
@@ -243,7 +244,7 @@ def _witnesses(spec: NeighborhoodSpec, chunks):
     for start, values in chunks:
         for j, l in enumerate(values, start):
             if l:
-                bound = 4 * m * abs(l)
+                bound = 2 * abs(l)
                 if terms[-1] < bound:
                     pivots.terms_until(bound)
                 n = first_arc_exit(l, terms, m)

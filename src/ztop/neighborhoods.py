@@ -3,9 +3,9 @@ topologies a pivot chain induces on the integers:
 
 * uniform neighbourhoods -- k belongs at level m iff k/b_n stays in the
   closed arc [-1/(4m), 1/(4m)] for every n >= 1. The infinite quantifier is
-  decided by checking only the indices with b_n < 4m|k|: beyond them
-  |k|/b_n <= 1/(4m) holds automatically. This termination bound is the one
-  piece of plumbing everything else leans on.
+  decided by the terms up to b_T, the first term >= 2|k|, at every level
+  at once (the bound is stated in ``ztop._kernels``), so no uniform route
+  grows the chain further for a larger m.
 * linear neighbourhoods -- k belongs at index n iff b_n divides k.
 
 Four routes into the uniform question are provided: the direct scan, the
@@ -35,7 +35,7 @@ SIEVE_SEGMENT integers, so memory stays bounded whatever the window, and a
 consumer that stops early stops the sieve with it. ``_member_sieve``
 describes a neighbourhood's window by a step and the masks of the indices
 1..W // step: ``Uniform(m)`` has step 1 and the chain's conditions, grown
-segment by segment and cut where the bit budget refuses a term;
+segment by segment to 2|k| and cut where the bit budget refuses a term;
 ``Linear(n)`` has step b_n and no condition. ``iter_members`` reads the
 members off the masks with ``mask_positions``, which on a sparse mask jumps
 from one member to the next, and ``duality.continuity_window_check``
@@ -111,20 +111,22 @@ class NeighborhoodSpec:
 
 
 def member_direct(k: int, pivots: PivotSequence, m: int) -> bool:
-    """Uniform membership by scanning k/b_n for every index below the
-    termination bound; k = 0, with no index to scan, is always a member."""
+    """Uniform membership by scanning k/b_n up to b_T, the first term
+    >= 2|k|, which decides every level; k = 0, with no index to scan, is
+    always a member."""
     check_int(k, "k")
     check_level(m)
-    return member_direct_scan(k, pivots.terms_until(4 * m * (-k if k < 0 else k)), m)
+    return member_direct_scan(k, pivots.terms_until(2 * (-k if k < 0 else k)), m)
 
 
 def member_partial_sums(k: int, pivots: PivotSequence, m: int) -> bool:
     """Uniform membership via the balanced digits of k: the partial sums
-    sum_{s<n} k_s b_s must stay within b_n/(4m) for every n. Agrees with
+    sum_{s<n} k_s b_s must stay within b_n/(4m) for every n. The digits end
+    below b_T, the first term >= 2|k|, whatever the level. Agrees with
     member_direct on every input."""
     check_int(k, "k")
     check_level(m)
-    return member_partial_scan(k, pivots.terms_until(4 * m * (-k if k < 0 else k)), m)
+    return member_partial_scan(k, pivots.terms_until(2 * (-k if k < 0 else k)), m)
 
 
 def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
@@ -155,10 +157,11 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     ``ms``, any iterable, must hold at least one level.
 
     The sweep form of the public routes: the chain prefix is fetched once,
-    each k, 0 included, is decomposed once, and the routes run on the
-    kernels the public functions use, the direct one on the ``arc_ratio``
-    pair of k and the last three on its two ``digit_ratios`` pairs. None of
-    the pairs depends on m: a route whose test is 4m * n <= d holds exactly
+    up to the first term >= 2 * limit whatever the levels, each k, 0
+    included, is decomposed once, and the routes run on the kernels the
+    public functions use, the direct one on the ``arc_ratio`` pair of k and
+    the last three on its two ``digit_ratios`` pairs. None of the pairs
+    depends on m: a route whose test is 4m * n <= d holds exactly
     at the levels m <= d // (4n). When the direct and partial-sum routes
     hold up to the same level, and the sufficient test's last level is at
     most that one and the necessary test's at least, k breaks no claim at
@@ -171,7 +174,7 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
         raise ValueError(f"ms must hold at least one arc level, got {ms!r}")
     for m in ms:
         check_level(m)
-    terms = pivots.terms_until(4 * max(ms) * limit, extra=1)
+    terms = pivots.terms_until(2 * limit)  # b_T of every |k| <= limit
     equivalence, implication = [], []
     for k in range(-limit, limit + 1):
         an, ad = arc_ratio(k, terms)
@@ -213,7 +216,8 @@ def iter_members(spec: NeighborhoodSpec, window: int) -> Iterator[int]:
     be built raises before 0 is yielded, as in ``member_linear``. When the
     bit budget refuses a term that a uniform scan needs, the members the
     existing terms decide are still yielded, and the error is raised at
-    the first k that needs the missing term, as ``member_direct`` would.
+    the first k that needs the missing term, as ``member_direct`` would:
+    the first k with 2k past the last term built, whatever the level.
     """
     step, segments = _member_sieve(spec, window)
     yield 0
@@ -242,23 +246,25 @@ def _segments(count: int, conds: list, pivots: PivotSequence | None = None, m: i
     """The sieve of 1..count in segments of at most SIEVE_SEGMENT integers:
     yields (lo, mask, conds) with mask = arc_sieve(lo, hi, conds).
 
-    Given ``pivots``, conds is instead one (1, b_n, m) per chain term
-    b_n < 4m * hi, so each segment grows the chain only as far as its end.
+    Given ``pivots``, conds is instead one (1, b_n, m) per chain term up to
+    and including the first term >= 2 * hi, b_T of the segment's last k,
+    so each segment grows the chain only as far as its end, whatever m.
     When the bit budget refuses a pivot term, the segment is cut at the
-    last k the existing terms decide, and the next one raises the error.
+    last k the existing terms decide, the last k with 2k <= the last term,
+    and the next one raises the error.
     """
     lo = 1
     while lo <= count:
         hi = min(count, lo + SIEVE_SEGMENT - 1)
         if pivots is not None:
             try:
-                terms = pivots.terms_until(4 * m * hi)
+                terms = pivots.terms_until(2 * hi)
             except BitBudgetExceeded:
                 terms = pivots.terms_until(1)  # the terms built before the failure
-                hi = terms[-1] // (4 * m)  # the last k those terms decide
+                hi = terms[-1] // 2  # the last k those terms decide
                 if hi < lo:
                     raise
-            conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 4 * m * hi)]]
+            conds = [(1, b, m) for b in terms[1 : bisect_left(terms, 2 * hi) + 1]]
         yield lo, arc_sieve(lo, hi, conds), conds
         lo = hi + 1
 

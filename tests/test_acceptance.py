@@ -305,7 +305,7 @@ def test_route_violations_match_checking_every_level(chain, corrupt, ms):
     # drawn k; the sweep, which skips a k whose routes' last levels agree,
     # must return the rows of testing every k at every level of ``ms``
     pivots = make_pivots(chain)
-    terms = pivots.terms_until(4 * max(ms) * LIMIT, extra=1)
+    terms = pivots.terms_until(2 * LIMIT)
     original_arc, original_digits = neighborhoods.arc_ratio, neighborhoods.digit_ratios
 
     def arc_ratio(k, terms):

@@ -13,7 +13,13 @@ between members (``square-linear-second-segment``, ``square-linear-passes``).
 The two ``mid-chunk`` cases were saved before the witness scan evaluated
 l_j a chunk at a time off the chain memo. The
 ``verify-paper-quick-budget-64`` error was saved when a budget refusal in
-``verify-paper`` learnt to name its check. The long-peaks case was
+``verify-paper`` learnt to name its check. The ``converge-budget-witnesses``,
+``converge-factorial-pivothalf``, ``converge-budget-uniform-mid-chunk`` and
+``dual-budget-exceeded`` runs were saved again, and the two cases
+``member-budget-factorial-large-level`` and ``dual-budget-exceeded-past-2-23``
+added, when every uniform answer learnt to grow the chain only to the first
+term >= 2|k|, whatever the level: a refusal moved past the terms that
+decide the answer, or went away. The long-peaks case was
 saved when the CLI learnt to print past the interpreter's int -> str digit
 limit; before that it exited 2. The ``blocks-budget-square-pivotsucc`` case
 was saved when the peak-decay cross-check learnt to report a refused scan as
@@ -78,21 +84,25 @@ CASES = {
     # k = 4 first, so the refusal never shows
     "dual-budget-early-exit": (
         ["dual", "--pivots", "factorial", "--chi", "1/7", "--m", "2", "--window", "10000000"], "64", 0),
-    # chi passes every member the budget allows, then the scan needs b_5
+    # b_4 = 2^24 decides every k <= 2^23 at every level, so the budget
+    # refuses no term the window needs, and chi passes every member
     "dual-budget-exceeded": (
-        ["dual", "--pivots", "factorial", "--chi", "1/4", "--m", "2", "--window", "3000000"], "64", 2),
+        ["dual", "--pivots", "factorial", "--chi", "1/4", "--m", "2", "--window", "3000000"], "64", 0),
+    # chi passes every member up to 2^23, then k = 2^23 + 1 needs b_5
+    "dual-budget-exceeded-past-2-23": (
+        ["dual", "--pivots", "factorial", "--chi", "1/4", "--m", "2", "--window", "10000000"], "64", 2),
     "converge-square-blockexample": (
         ["converge", "--pivots", "square", "--sequence", "blockexample", "--m", "1",
          "--horizon", "50"], None, 1),
     "converge-linear-pow2": (
         ["converge", "--pivots", "linear", "--sequence", "pow2", "--n", "4", "--horizon", "20"],
         None, 0),
-    # b_5 of the factorial chain needs 121 bits: the very first uniform scan
-    # is refused, so the verdict is inconclusive with no witnesses
+    # l_j = b_{j+1}; l_1 and l_2 pass, then the scan of l_3 = b_4 = 2^24
+    # needs b_5, 121 bits, so the verdict is inconclusive with no witnesses
     "converge-budget-inconclusive": (
         ["converge", "--pivots", "factorial", "--sequence", "pivotsucc", "--m", "1",
          "--horizon", "10"], "64", 0),
-    # witnesses up to j = 35, then the scan of l_47 needs b_8, which is refused
+    # witnesses up to j = 48, then the scan of l_49 needs b_8, which is refused
     "converge-budget-witnesses": (
         ["converge", "--pivots", "square", "--sequence", "pow2", "--m", "2", "--horizon", "80"],
         "64", 0),
@@ -100,8 +110,8 @@ CASES = {
     "converge-chain-3-2-pivothalf": (
         ["converge", "--pivots", "chain:3,2", "--sequence", "pivothalf", "--m", "2",
          "--horizon", "40"], None, 1),
-    # witnesses for j = 1..7; l_8 = 2^362879 (b_9 has 362,881 bits), and its
-    # scan needs b_10, which is refused
+    # witnesses for j = 1..8; l_8 = 2^362879 is decided by b_9, and l_9 needs
+    # b_10 (3,628,801 bits), which is refused
     "converge-factorial-pivothalf": (
         ["converge", "--pivots", "factorial", "--sequence", "pivothalf", "--m", "1",
          "--horizon", "21"], None, 0),
@@ -110,7 +120,7 @@ CASES = {
     "converge-budget-linear-mid-chunk": (
         ["converge", "--pivots", "linear", "--sequence", "geomdiff", "--n", "4",
          "--horizon", "300"], "200", 0),
-    # witnesses j = 1..187; l_188 is evaluated in the third run, and its
+    # witnesses j = 1..189; l_190 is evaluated in the third run, and its
     # scan needs b_200, which is refused before l_199 is
     "converge-budget-uniform-mid-chunk": (
         ["converge", "--pivots", "linear", "--sequence", "wgeomdiff", "--m", "2",
@@ -138,6 +148,10 @@ CASES = {
     # k = b_60/4 + b_30: the ladder divides between terms of 2^a 3^b
     "member-chain-2-3-past-2-30": (
         ["member", "--pivots", "chain:2,3", "--m", "1", "--k", "55268479930653524459520"], None, 0),
+    # k = 2^20 + 1 at m = 2^40: b_4 = 2^24 >= 2|k| decides every level, so
+    # the 64-bit budget refuses no term the query needs
+    "member-budget-factorial-large-level": (
+        ["member", "--pivots", "factorial", "--k", "1048577", "--m", "1099511627776"], "64", 0),
     # k = b_12/8 = 2^141 at m = 2, exactly on the arc's end
     "member-square-arc-end": (["member", "--pivots", "square", "--m", "2", "--k", str(2**141)], None, 0),
     "decompose-chain-2-3-minus-1000": (

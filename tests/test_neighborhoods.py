@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ztop.convergence import falsify_uniform, make_sequence
 from ztop.decomposition import decompose
 from ztop.neighborhoods import (
     Linear,
@@ -17,6 +18,7 @@ from ztop.neighborhoods import (
     member_direct,
     member_linear,
     member_partial_sums,
+    route_violations,
 )
 from ztop.pivots import make_pivots
 from ztop.torus import canonicalize, in_arc
@@ -88,6 +90,44 @@ def test_strictness_witness(square):
     tests are not a characterization."""
     assert member_direct(128, square, 1)
     assert not coeff_bound_test(decompose(128, square), 1, "sufficient")
+
+
+def index_of_b_t(k, text):
+    """T, the index of the first term >= 2|k|, from a fresh chain."""
+    pivots, n = make_pivots(text), 0
+    while pivots.term(n) < 2 * abs(k):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("k", [1, -1000, 10**6 + 1])
+@pytest.mark.parametrize("text", ["linear", "factorial"])
+@pytest.mark.parametrize("route", [member_direct, member_partial_sums], ids=lambda f: f.__name__)
+def test_a_uniform_route_builds_the_same_chain_at_every_level(route, text, k):
+    # b_T, the first term >= 2|k|, decides k at every level: neither m = 1
+    # nor m = 2^40 builds a term past it
+    lengths = []
+    for m in (1, 2**40):
+        pivots = make_pivots(text)
+        route(k, pivots, m)
+        lengths.append(len(pivots.terms_until(1)))
+    assert lengths == [index_of_b_t(k, text) + 1] * 2
+
+
+def test_a_huge_level_builds_the_chain_only_to_b_T():
+    # k = 3 over b_n = 2^n: b_3 = 8 decides every level, so a query at
+    # m = 2^60000 builds b_0..b_3, not b_0..b_60004, the terms up to 4m|k|
+    m = 2**60000
+    pivots = make_pivots("linear")
+    coeffs = decompose(3, pivots)
+    assert not member_direct(3, pivots, m) and not member_partial_sums(3, pivots, m)
+    assert not coeff_bound_test(coeffs, m, "sufficient")
+    assert not coeff_bound_test(coeffs, m, "necessary")
+    assert route_violations(pivots, 3, [1, m]) == ([], [])
+    assert list(iter_members(NeighborhoodSpec(pivots, Uniform(m)), 3)) == [0]
+    witnesses = falsify_uniform(make_sequence("custom", fn=lambda j: 3), pivots, m, 2)
+    assert [(w.j, w.n) for w in witnesses] == [(1, 1), (2, 1)]
+    assert pivots.terms_until(1) == [1, 2, 4, 8]
 
 
 @given(st.integers(min_value=-(10**5), max_value=10**5), levels, pivot_families)

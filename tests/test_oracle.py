@@ -2,8 +2,10 @@
 
 The oracle decides whether k/b_n lies in the closed arc [-1/(4m), 1/(4m)]
 with ``in_arc(canonicalize(Fraction(k, b_n)), m)``, index by index. It runs
-two indices past the first term >= 4m|k|, so it also checks the cut-off the
-kernels rely on: from there on every k/b_n is inside the arc. Values up to
+two indices past the first term >= 4m|k|, from where on every k/b_n is
+inside the arc. The kernels get only the least prefix [b_0, ..., b_T], b_T
+the first term >= 2|k|, so the oracle also checks the cut-off they rely on:
+b_T decides every level, and no later term fails first. Values up to
 about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
 multiples of chain terms reach its zero-residue shortcuts, and the
 ``pivothalf`` and ``pivotsucc`` terms of the two-power chains, up to 2^18
@@ -120,12 +122,19 @@ def oracle_exits(k, pivots, m):
     return exits
 
 
+def least_prefix(k, pivots):
+    """[b_0, ..., b_T] with b_T the first term >= 2|k|: the least prefix a
+    uniform kernel may be given for k, at every level."""
+    terms = pivots.terms_until(2 * abs(k))
+    return terms[: bisect_left(terms, 2 * abs(k)) + 1]
+
+
 def check_routes(k, pivots, m):
     """first_arc_exit, member_direct, member_partial_sums and the witness of
     falsify_uniform all give the oracle's answer for k."""
     exits = oracle_exits(k, pivots, m)
     first = exits[0] if exits else None
-    assert first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m) == first
+    assert first_arc_exit(k, least_prefix(k, pivots), m) == first
     assert member_direct(k, pivots, m) == (first is None)
     assert member_partial_sums(k, pivots, m) == (first is None)
     witnesses = falsify_uniform(make_sequence("custom", fn=lambda j: k), pivots, m, 1)
@@ -208,8 +217,10 @@ LADDER_CASES = {
     # first exit below 2^30, and a later one on the ladder (b_8 = 2^64)
     "below": ("square", 3, 5 + SQ.term(8) // 2, [1, 2, 8]),
     "below-negative": ("square", 3, -5 - SQ.term(8) // 2, [1, 2, 8]),
-    # first exit on the ladder's only rung (b_5 = 2^120)
-    "one-rung": ("factorial", 2, FAC.term(5) // 8 + 7 * FAC.term(4), [5]),
+    # first exit on the ladder's only rung (b_5 = 2^120, below b_T = b_6)
+    "one-rung": ("factorial", 2, FAC.term(5) - FAC.term(5) // 8 - 7 * FAC.term(4), [5]),
+    # first exit at b_T = b_5 = 2^120 itself, past a ladder with no rung
+    "at-b-T": ("factorial", 2, FAC.term(5) // 8 + 7 * FAC.term(4), [5]),
     # several rungs fail; the least wins
     "rungs-linear": ("linear", 1, 3 * 2**40 + 2**100, [41, 43, 101, 102]),
     "rungs-chain": ("chain:2,3", 1, C23.term(60) // 4 + C23.term(30), [31, 57, 58, 60]),
@@ -228,8 +239,7 @@ LADDER_CASES = {
 def test_routes_match_the_oracle_at_chosen_rungs(name):
     text, m, k, exits = LADDER_CASES[name]
     pivots = CHAINS[text]
-    bound = 4 * m * abs(k)
-    assert any(LADDER_FROM <= b < bound for b in pivots.terms_until(bound))
+    assert least_prefix(k, pivots)[-1] >= LADDER_FROM  # the walk goes past 2^30
     assert oracle_exits(k, pivots, m) == exits
     check_routes(k, pivots, m)
 
@@ -256,7 +266,7 @@ def test_first_arc_exit_on_multiples_of_a_term(text):
         for k in term_multiples(pivots, j):
             for m in LEVELS:
                 first = (oracle_exits(k, pivots, m) or [None])[0]
-                assert first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m) == first, (j, k, m)
+                assert first_arc_exit(k, least_prefix(k, pivots), m) == first, (j, k, m)
 
 
 def one_digit_multiples(pivots):
@@ -296,7 +306,7 @@ def test_first_arc_exit_on_two_power_chains(text, family):
         for k in (l, -l):
             for m in LEVELS:
                 first = (oracle_exits(k, pivots, m) or [None])[0]
-                got = first_arc_exit(k, pivots.terms_until(4 * m * abs(k)), m)
+                got = first_arc_exit(k, least_prefix(k, pivots), m)
                 assert got == first, (j, k < 0, m)
 
 
@@ -323,7 +333,7 @@ def oracle_arc_ratio(k, pivots):
 
 
 def check_arc_ratio(k, pivots):
-    t, b = arc_ratio(k, pivots.terms_until(2 * abs(k)))
+    t, b = arc_ratio(k, least_prefix(k, pivots))
     assert b >= 1 and Fraction(t, b) == oracle_arc_ratio(k, pivots), k
     for m in LEVELS:
         assert (4 * m * t <= b) == (not oracle_exits(k, pivots, m)), (k, m)
@@ -373,6 +383,16 @@ def test_arc_ratio_refuses_a_short_prefix():
         arc_ratio(2**35 + 1, terms)  # the ladder's terms, but none >= 2|k|
     with pytest.raises(ValueError, match="pivot prefix too short"):
         arc_ratio(2**20, terms[:4])  # one-digit terms only
+
+
+def test_first_arc_exit_refuses_a_short_prefix():
+    terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
+    # b_T = b_6 = 2|k| is enough: the lower terms divide k, and k/b_6 = 1/2
+    assert first_arc_exit(2**35, terms, 1) == 6
+    with pytest.raises(ValueError, match="pivot prefix too short"):
+        first_arc_exit(2**35 + 1, terms, 1)  # the ladder's terms, but none >= 2|k|
+    with pytest.raises(ValueError, match="pivot prefix too short"):
+        first_arc_exit(2**20, terms[:4], 1)  # one-digit terms only
 
 
 # -- the one-sided digit tests ---------------------------------------------------
@@ -1112,8 +1132,9 @@ def test_continuity_window_check_on_linear_neighbourhoods(case, window, size):
 
 @pytest.mark.parametrize("size", [SIEVE_SEGMENT, 1000])
 def test_window_scan_under_the_bit_budget(monkeypatch, size):
-    # factorial chain, budget 64 bits: b_4 = 2^24 is the last term, so the
-    # members up to 2^24 / 8 are decided and the next k needs b_5
+    # factorial chain, budget 64 bits: b_4 = 2^24 is the last term, so every
+    # k up to 2^24 / 2 is decided at every level and k = 2^23 + 1 needs b_5.
+    # The members of U_2 end at 2^24 / 8: no k in (2^21, 2^23] is one
     monkeypatch.setenv("ZTOP_BIT_BUDGET", "64")
     spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
     count, last = 0, None
@@ -1121,8 +1142,9 @@ def test_window_scan_under_the_bit_budget(monkeypatch, size):
         for k in iter_members(spec, 10**7):
             count, last = count + 1, k
     assert (count, last) == (327_681, -2_097_152)
+    assert not member_direct(2**23, make_pivots("factorial"), 2)
     with pytest.raises(BitBudgetExceeded) as direct:
-        member_direct(2_097_153, make_pivots("factorial"), 2)
+        member_direct(2**23 + 1, make_pivots("factorial"), 2)
     assert str(exc.value) == str(direct.value) == "term b_5 of 'factorial' needs 121 bits (budget 64)"
     spec = NeighborhoodSpec(make_pivots("factorial"), Uniform(2))
     assert continuity_window_check(character("1/7"), spec, 10**7) == (False, 4)
