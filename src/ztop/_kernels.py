@@ -71,7 +71,8 @@ def decompose_digits(l, terms, top):
     ``top`` is the top index N, minimal with b_N >= |l|; ``terms`` must hold
     the chain prefix [b_0, ..., b_N]. Digit k_n is the nearest integer (ties
     toward 0) to the running remainder r divided by b_n, taken from N
-    downwards. Trailing zero digits are trimmed; l == 0 gives [].
+    downwards. Trailing zero digits are trimmed; l == 0 gives [] by its own
+    branch, since the walk below indexes the digit list.
 
     The kernel steps from one nonzero digit to the next. A level with
     2|r| <= b_n rounds to 0 and leaves r as it is, so the next level that
@@ -180,10 +181,8 @@ def first_arc_exit(k, terms, m):
     skipped when the largest of them divides k, then the residue ladder,
     where the least failing index wins and a zero residue ends the walk.
     Only when no term below b_T fails is b_T tested, as |k|/b_T: a later
-    term cannot fail first.
+    term cannot fail first; k = 0 passes at b_T = b_0 = 1, with no walk.
     """
-    if k == 0:
-        return None
     ak = -k if k < 0 else k
     bound = 2 * ak
     top = bisect_left(terms, bound)  # T
@@ -241,10 +240,8 @@ def arc_ratio(k, terms):
     power of two masks the residue's low bits instead of dividing: on the
     pow2 chain the quotient of neighbouring terms has as many bits as the
     divisor, and CPython's long division has no fast path for it. Ratios
-    are compared by cross-multiplication.
+    are compared by cross-multiplication; k = 0 ends at b_T = b_0 = 1.
     """
-    if k == 0:
-        return 0, 1
     ak = -k if k < 0 else k
     bound = 2 * ak
     top = bisect_left(terms, bound)  # T

@@ -29,7 +29,6 @@ import sys
 from ztop import __version__, regressions
 from ztop.convergence import (
     FAMILIES,
-    block_statistics,
     make_sequence,
     peak_decay_report,
     prefix_test,
@@ -337,13 +336,11 @@ def _run_blocks(settings):
     thresholds_text = settings.get("thresholds")
     report = Report("blocks", settings.echo(), settings.get("format", "json"))
     status = EXIT_OK
+    thresholds = ()
     if thresholds_text is not None:
         thresholds = tuple(_integer_option("--thresholds", t) for t in thresholds_text.split(","))
-        decay = peak_decay_report(seq, pivots, horizon, thresholds, levels=levels)
-        stats = decay.stats
-    else:
-        decay = None
-        stats = block_statistics(seq, pivots, horizon, levels=levels)
+    decay = peak_decay_report(seq, pivots, horizon, thresholds, levels=levels)
+    stats = decay.stats
     for n in sorted(stats.blocks):
         lo, hi = stats.blocks[n]
         peak = stats.peaks.get(n)
@@ -358,17 +355,16 @@ def _run_blocks(settings):
     for n in stats.missing:
         report.add(kind="missing-settle-index", n=n, settle_index=None,
                    block_lo=None, block_hi=None, peak=None)
-    if decay is not None:
-        for entry in decay.entries:
-            report.add(
-                kind="peak-decay",
-                m=entry.m,
-                applicable=entry.applicable,
-                settled_level=entry.settled_level,
-                crosscheck_ok=entry.crosscheck_ok,
-            )
-            if entry.crosscheck_ok is False:
-                status = EXIT_FALSIFIED
+    for entry in decay.entries:
+        report.add(
+            kind="peak-decay",
+            m=entry.m,
+            applicable=entry.applicable,
+            settled_level=entry.settled_level,
+            crosscheck_ok=entry.crosscheck_ok,
+        )
+        if entry.crosscheck_ok is False:
+            status = EXIT_FALSIFIED
     return report, status
 
 

@@ -78,7 +78,8 @@ def decompose(l: int, pivots: PivotSequence) -> PivotCoefficients:
     """Balanced digits of l over the chain; deterministic.
 
     Raises BitBudgetExceeded if reaching b_N >= |l| would blow the chain's
-    bit budget. An l that is not an int (a bool, a float) is refused.
+    bit budget. An l that is not an int (a bool, a float) is refused. l = 0
+    has its own branch: its printed ``top_index`` is None.
     """
     if check_int(l, "l") == 0:
         return PivotCoefficients(0, (), pivots, None)
@@ -108,11 +109,9 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
 
     Violations are reported, never raised, so the checker is usable on
     invalid hand-built digit lists. Trailing zero digits do not change any
-    verdict.
+    verdict, and an empty list recomposes to 0 within both bounds.
     """
     digits = coeffs.coeffs
-    if not digits:
-        return CoefficientCheck(0, coeffs.source == 0, True, True)
     terms = coeffs.pivots.terms_until(1, extra=len(digits))
     value, digit_ok, partial_ok = coefficient_checks(digits, terms)
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)

@@ -165,8 +165,8 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     at the levels m <= d // (4n). When the direct and partial-sum routes
     hold up to the same level, and the sufficient test's last level is at
     most that one and the necessary test's at least, k breaks no claim at
-    any level and the level loop is skipped; so it is when every
-    numerator is 0, which only k = 0 gives.
+    any level and the level loop is skipped. A zero numerator stays out of
+    those divisions: an all-zero triple passes every level in the loop.
     """
     check_positive_int(limit, "limit")
     ms = tuple(ms)
@@ -184,8 +184,6 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
             md = ad // (4 * an)
             if md == pd // (4 * pn) and dd // (8 * dn) <= md <= 3 * dd // (8 * dn):
                 continue
-        elif not (an or pn or dn):
-            continue
         for m in ms:
             direct = 4 * m * an <= ad
             if direct != (4 * m * pn <= pd):

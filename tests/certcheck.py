@@ -1,5 +1,5 @@
-"""An independent check of the result records that ``ztop member``, ``ztop
-dual`` and ``ztop converge`` print.
+"""An independent check of the result records that ``ztop member``,
+``decompose``, ``dual``, ``discrete``, ``converge`` and ``blocks`` print.
 
 It imports nothing from ztop and shares none of its kernels. It rebuilds
 b_n from the descriptor text by its closed form (2^(a_n) for the exponent
@@ -15,6 +15,10 @@ lies in the closed arc [-1/(4m), 1/(4m)] iff 4m * min(k mod b, b - k mod b)
   the checker's own balanced digits: from the top index N, minimal with
   b_N >= |k|, down to 1, k_n is the remainder over b_n rounded to the
   nearest integer, ties toward 0.
+* ``decompose``: the digits must be the checker's own balanced digits and
+  recompose to ``value`` over its terms; ``sum_ok``, both bound flags and
+  ``ok`` are tested on them, and ``top_index`` is the least N with
+  b_N >= |l| (null for l = 0).
 * ``dual``: the least n with q | b_n for the character's denominator q, or
   a prime of q, found by trial division, outside the chain's primes. A
   failing k must be a member that the character maps off the quarter arc,
@@ -24,6 +28,10 @@ lies in the closed arc [-1/(4m), 1/(4m)] iff 4m * min(k mod b, b - k mod b)
   (U_m lies in b_N Z once 4m > b_N); by brute force, when at most
   BRUTE_MAX members are in question; otherwise on SAMPLE of them drawn with
   a fixed seed.
+* ``discrete``: the multiplier is the least l with 4 l x_1 > 1 and the
+  level is l times the ratio bound. The survivors are a brute force over
+  the window: k > 0 survives when 4 level min(t, b - t) <= b, with
+  t = k a mod b, for every x = a/b, and -k survives with k.
 * ``converge``: each witness (j, n, value) has n the least index with
   l_j / b_n off the arc (uniform) or b_n not dividing l_j (linear), and
   value the exact point l_j / b_n, by cross-multiplication; the witnesses
@@ -34,11 +42,22 @@ lies in the closed arc [-1/(4m), 1/(4m)] iff 4m * min(k mod b, b - k mod b)
   evaluating it needs a term over the budget (b_{j+1} for a chain family)
   or when deciding it does. Deciding l_j at any level needs the terms up
   to the first b_n >= 2|l_j|: past it, |l_j|/b_n only falls.
+* ``blocks``, as JSON or CSV: the whole table at once. Each settle index
+  j_n is found by scanning l_j down from the horizon while b_n divides it;
+  the levels run up to ``levels`` + 1 (the horizon + 1 by default) and stop
+  at the first missing j_n, or at the first b_n over the budget, where the
+  run notes a refusal. The blocks follow from the j_n, each peak
+  max |l_j| / b_{n+1} is tested by cross-multiplication, and each peak-decay
+  entry's ``settled_level`` and ``crosscheck_ok`` come from those peaks and
+  from a witness scan from block n0's first index, which reads null where
+  deciding an l_j needs a term over the budget.
 
 Run it on a saved run as ``python tests/certcheck.py RUN.stdout [BUDGET]``;
 it prints what it certified, or the first contradiction and exits 1.
 """
 
+import contextlib
+import csv
 import json
 import math
 import re
@@ -149,10 +168,17 @@ def balanced_digits(k, chain):
     return digits
 
 
-def parse_point(text):
-    """(p, q) of a canonical "p/q": q >= 1, gcd 1 and -1/2 <= p/q < 1/2."""
+def parse_ratio(text):
+    """(p, q) of a "p/q" in lowest terms with q >= 1."""
     p, q = map(int, text.split("/"))
-    expect(q >= 1 and math.gcd(p, q) == 1 and -q <= 2 * p < q, f"{text} is not a canonical point")
+    expect(q >= 1 and math.gcd(p, q) == 1, f"{text} is not in lowest terms")
+    return p, q
+
+
+def parse_point(text):
+    """(p, q) of a canonical "p/q": in lowest terms and -1/2 <= p/q < 1/2."""
+    p, q = parse_ratio(text)
+    expect(-q <= 2 * p < q, f"{text} is not a canonical point")
     return p, q
 
 
@@ -173,6 +199,60 @@ def check_member(config, rec, budget):
     consistent = (not sufficient or direct) and (not direct or necessary)
     expect(rec["routes_consistent"] == consistent, f"routes_consistent should be {consistent}")
     return "member routes"
+
+
+# -- decompose -----------------------------------------------------------------
+
+
+def check_decompose(config, rec, budget):
+    l, chain = rec["l"], Chain(rec["pivots"])
+    expect((l, rec["pivots"]) == (config["l_value"], config["pivots"]), "record and config differ")
+    digits = [int(d) for d in rec["coefficients"].split(",")] if rec["coefficients"] else []
+    own = balanced_digits(l, chain)
+    expect(digits == own, f"the digits should be {own}")
+    partials = [sum(d * chain.term(i) for i, d in enumerate(digits[: n + 1])) for n in range(len(digits))]
+    value = partials[-1] if partials else 0
+    expect(rec["value"] == value, f"the digits recompose to {value}")
+    flags = (
+        value == l,
+        all(2 * abs(d) * chain.term(n) <= chain.term(n + 1) for n, d in enumerate(digits)),
+        all(2 * abs(s) <= chain.term(n + 1) for n, s in enumerate(partials)),
+    )
+    got = (rec["sum_ok"], rec["digit_bounds_ok"], rec["partial_sum_bounds_ok"])
+    expect(got == flags, f"sum and bound flags should be {flags}")
+    expect(rec["ok"] == all(flags), f"ok should be {all(flags)}")
+    top = None
+    if l:
+        top = 0
+        while chain.term(top) < abs(l):
+            top += 1
+    expect(rec["top_index"] == top, f"top_index should be {top}")
+    return "decompose"
+
+
+# -- discrete ------------------------------------------------------------------
+
+
+def check_discrete(config, rec, budget):
+    xs = [tuple(map(int, x.split("/"))) for x in config["xs"].split(",")]
+    bound, window = config["ratio_bound"], config.get("window", 100)  # ztop's default window
+    expect((rec["ratio_bound"], rec["window"]) == (bound, window), "record and config differ")
+    a, b = xs[0]
+    least = -(-(b + 1) // (4 * a))  # the least l with 4 l a >= b + 1
+    expect(rec["multiplier"] == least, f"the multiplier should be {least}")
+    level = least * bound
+    expect(rec["level"] == level, f"the level should be {level}")
+    positive = [
+        k for k in range(1, window + 1)
+        if all(4 * level * min(k * p % q, q - k * p % q) <= q for p, q in xs)
+    ]
+    survivors = [-k for k in reversed(positive)] + [0] + positive
+    if rec["survivors"] != survivors:
+        missing = sorted(set(survivors) - set(rec["survivors"]))
+        extra = sorted(set(rec["survivors"]) - set(survivors))
+        raise CheckFailed(f"survivors differ from the brute force: missing {missing[:3]}, extra {extra[:3]}")
+    expect(rec["verified"] == (survivors == [0]), f"verified should be {survivors == [0]}")
+    return "discrete survivors"
 
 
 # -- dual ----------------------------------------------------------------------
@@ -330,19 +410,126 @@ def check_converge(config, rec, budget):
     return f"converge up to j = {horizon}"
 
 
-CHECKS = {"member": check_member, "dual": check_dual, "converge": check_converge}
+# -- blocks --------------------------------------------------------------------
+
+
+def block_rows(config, budget):
+    """The rows ``ztop blocks`` prints for ``config``, each with the fields
+    its kind sets; a block's ``peak`` is the pair (max |l_j|, b_{n+1})."""
+    chain, family, horizon = Chain(config["pivots"]), config["sequence"], config["horizon"]
+    for j in range(1, horizon + 1):
+        expect(evaluating_bits(family, chain, j) <= budget, f"l_{j} needs a term over the budget")
+    values = [sequence_term(family, chain, j) for j in range(1, horizon + 1)]
+    settle, missing = {}, []
+    for n in range(1, config.get("levels", horizon) + 2):
+        if chain.bits(n) > budget:
+            break  # b_n is refused, and the run notes it
+        j = horizon
+        while j and values[j - 1] % chain.term(n) == 0:
+            j -= 1
+        if j == horizon:
+            missing.append({"kind": "missing-settle-index", "n": n, "settle_index": None,
+                            "block_lo": None, "block_hi": None, "peak": None})
+            break
+        settle[n] = j + 1
+    rows, starts, peaks = [], {}, {}
+    for n in range(len(settle)):  # block n ends where level n + 1 settles
+        lo = settle.get(n, 1)
+        hi = lo if n and settle[n + 1] == lo else settle[n + 1] - 1
+        block = [abs(l) for l in values[lo - 1 : hi]]
+        if block:
+            peaks[n] = (max(block), chain.term(n + 1))
+        starts[n] = lo
+        rows.append({"kind": "block", "n": n, "settle_index": settle.get(n),
+                     "block_lo": lo, "block_hi": hi, "peak": peaks.get(n)})
+    rows += missing
+    thresholds = config.get("thresholds")
+    for m in map(int, thresholds.split(",") if thresholds else ()):
+        bad = [n for n in sorted(peaks) if 4 * m * peaks[n][0] >= peaks[n][1]]
+        entry = {"kind": "peak-decay", "m": m, "applicable": False, "settled_level": None,
+                 "crosscheck_ok": None}
+        if peaks and not (bad and bad[-1] == max(peaks)):
+            n0 = min(n for n in peaks if not bad or n > bad[-1])
+            cross = True
+            for l in values[starts[n0] - 1 :]:
+                if deciding_bits(l, chain, budget) > budget:
+                    cross = None
+                    break
+                if arc_exit(l, chain, m) is not None:
+                    cross = False
+                    break
+            entry.update(applicable=True, settled_level=n0, crosscheck_ok=cross)
+        rows.append(entry)
+    return rows
+
+
+def check_blocks(config, records, budget):
+    rows = block_rows(config, budget)
+    expect(len(records) == len(rows), f"the table should have {len(rows)} rows, not {len(records)}")
+    done = []
+    for rec, row in zip(records, rows):
+        what = f"{row['kind']} at " + (f"m = {row['m']}" if "m" in row else f"n = {row['n']}")
+        for key, want in row.items():
+            got = rec.get(key)
+            if key == "peak" and want is not None:
+                expect(got is not None, f"{what}: the peak is missing")
+                p, q = parse_ratio(got)
+                expect(p * want[1] == want[0] * q, f"{what}: the peak is not max |l_j| / b_{row['n'] + 1}")
+            else:
+                expect(got == want, f"{what}: {key} should be {want}")
+        done.append(what)
+    return done
+
+
+CHECKS = {
+    "member": check_member,
+    "decompose": check_decompose,
+    "dual": check_dual,
+    "discrete": check_discrete,
+    "converge": check_converge,
+}
+
+
+def csv_value(text):
+    """A cell of ``ztop blocks --format csv`` as the JSON value it stands for."""
+    if text in ("", "true", "false"):
+        return {"": None, "true": True, "false": False}[text]
+    return int(text) if re.fullmatch(r"-?\d+", text) else text
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift the interpreter's int <-> str digit limit, where it has one: a
+    peak's denominator can have more than 4,300 digits."""
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
 
 
 def check_output(text, budget=DEFAULT_BUDGET):
     """What the checker certified in a saved run, one entry per result
     record; raises CheckFailed at the first contradiction. ``budget`` is the
-    run's bit budget; an inconclusive verdict names its own."""
+    run's bit budget; an inconclusive verdict names its own. A CSV run
+    starts with its header as a "# " comment, then one table."""
     lines = text.splitlines()
     if not lines:
         return []
-    header = json.loads(lines[0])
-    check = CHECKS[header["command"]]
-    return [check(header["config"], json.loads(line), budget) for line in lines[1:]]
+    with no_digit_limit():
+        if lines[0].startswith("# "):
+            header = json.loads(lines[0][2:])
+            records = [{k: csv_value(v) for k, v in row.items()} for row in csv.DictReader(lines[1:])]
+        else:
+            header = json.loads(lines[0])
+            records = [json.loads(line) for line in lines[1:]]
+        if header["command"] == "blocks":
+            return check_blocks(header["config"], records, budget)
+        check = CHECKS[header["command"]]
+        return [check(header["config"], rec, budget) for rec in records]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
-"""Every saved ``member``, ``dual`` and ``converge`` run of test_golden.py,
-re-checked by certcheck.py, which imports nothing from ztop; and records
-made wrong on purpose, which it must refuse."""
+"""Every saved run of test_golden.py but ``verify-paper``'s, re-checked by
+certcheck.py, which imports nothing from ztop; and records made wrong on
+purpose, which it must refuse."""
 
 import json
 
@@ -12,7 +12,7 @@ from test_golden import CASES, GOLDEN
 # a run refused before its result prints no record
 CHECKED = sorted(
     n for n in CASES
-    if n.split("-")[0] in ("member", "dual", "converge") and (GOLDEN / f"{n}.stdout").stat().st_size
+    if not n.startswith("verify-paper") and (GOLDEN / f"{n}.stdout").stat().st_size
 )
 
 
@@ -25,7 +25,8 @@ def saved(name):
 @pytest.mark.parametrize("name", CHECKED)
 def test_the_checker_certifies_the_saved_run(name):
     lines, budget = saved(name)
-    assert len(check_output("\n".join(lines), budget)) == len(lines) - 1
+    records = len(lines) - (2 if lines[0].startswith("# ") else 1)  # CSV has a column line
+    assert len(check_output("\n".join(lines), budget)) == records
 
 
 def test_the_checker_says_how_it_certified_a_window():
@@ -36,14 +37,15 @@ def test_the_checker_says_how_it_certified_a_window():
     assert how["converge-budget-witnesses"] == ["converge up to j = 48"]
 
 
-def refuses(name, change):
-    """Whether the checker refuses the saved run with ``change`` applied to
-    its result record."""
+def refuses(name, change, line=1):
+    """The message with which the checker refuses the saved run with
+    ``change`` applied to the result record on ``line``."""
     lines, budget = saved(name)
-    record = json.loads(lines[1])
+    record = json.loads(lines[line])
     change(record)
+    lines[line] = json.dumps(record)
     with pytest.raises(CheckFailed) as exc:
-        check_output("\n".join([lines[0], json.dumps(record)]), budget)
+        check_output("\n".join(lines), budget)
     return str(exc.value)
 
 
@@ -75,3 +77,46 @@ def test_wrong_verdicts_and_windows_are_refused():
     assert "fails chi before" in refuses("dual-factorial-fails", lambda r: r.update(window_failing_k=60))
     assert "kernel check should be" in refuses(
         "dual-square-passes", lambda r: r.update(kernel_witness_index=3))
+
+
+def test_a_changed_digit_is_refused():
+    def change(record):
+        digits = record["coefficients"].split(",")
+        digits[1] = str(int(digits[1]) + 1)
+        record["coefficients"] = ",".join(digits)
+
+    assert refuses("decompose-chain-2-3-minus-1000", change).startswith("the digits should be")
+
+
+@pytest.mark.parametrize("name", ["discrete-halving-past-2-16", "discrete-mixed-numerators"])
+def test_a_dropped_survivor_is_refused(name):
+    def drop(record):
+        record["survivors"].pop(-1)
+        record["verified"] = record["survivors"] == [0]
+
+    assert refuses(name, drop).startswith("survivors differ from the brute force: missing [")
+
+
+@pytest.mark.parametrize("name", ["blocks-square-pivotsucc", "blocks-budget-square-pivotsucc"])
+def test_a_settle_index_off_by_one_is_refused(name):
+    # line 4 is block n = 3, which settles at j = 2
+    assert refuses(name, lambda r: r.update(settle_index=r["settle_index"] + 1), line=4) == (
+        "block at n = 3: settle_index should be 2")
+
+
+@pytest.mark.parametrize("name", ["blocks-square-pivotsucc", "blocks-pow2-pivotsucc-long-peaks"])
+def test_a_wrong_peak_is_refused(name):
+    def double(record):
+        p, q = record["peak"].split("/")
+        record["peak"] = f"{p}/{int(q) // 2}"
+
+    assert refuses(name, double, line=4) == "block at n = 3: the peak is not max |l_j| / b_4"
+
+
+def test_a_wrong_peak_decay_entry_is_refused():
+    assert refuses("blocks-square-pivotsucc", lambda r: r.update(crosscheck_ok=False), line=-1) == (
+        "peak-decay at m = 2: crosscheck_ok should be True")
+    assert refuses("blocks-budget-square-pivotsucc", lambda r: r.update(crosscheck_ok=True), line=-2) == (
+        "peak-decay at m = 1: crosscheck_ok should be None")
+    assert refuses("blocks-square-pivotsucc", lambda r: r.update(settled_level=3), line=-1) == (
+        "peak-decay at m = 2: settled_level should be 2")

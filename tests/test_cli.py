@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from ztop import acceptance, cli, duality, regressions
+from ztop import acceptance, cli, convergence, duality, regressions
 from ztop.cli import main
+from ztop.convergence import Witness
 from ztop.duality import WindowCheck
 
 
@@ -107,6 +108,19 @@ def test_blocks_thresholds(capsys):
     decay = [r for r in rows if r["kind"] == "peak-decay"]
     assert {d["m"] for d in decay} == {1, 2}
     assert all(d["applicable"] and d["settled_level"] == 2 for d in decay)
+
+
+def test_blocks_exits_1_when_a_peak_decay_crosscheck_fails(capsys, monkeypatch):
+    # the real scan finds no witness past block 2; a scan that finds one
+    # must read false and fail the run
+    monkeypatch.setattr(convergence, "_witnesses", lambda spec, chunks: iter([Witness(5, 1, None)]))
+    status, out, _ = run_cli(
+        capsys,
+        "blocks", "--pivots", "square", "--sequence", "pivotsucc", "--horizon", "20",
+        "--thresholds", "1,2",
+    )
+    assert status == 1
+    assert out.count('"crosscheck_ok":false') == 2
 
 
 def test_discrete_verified(capsys):
@@ -604,6 +618,15 @@ def test_unexpected_error_exits_2_not_1(capsys, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "decompose", broken)
     status, out, err = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")
     assert (status, out, err) == (2, "", "ztop: internal error: RuntimeError: boom\n")
+
+
+def test_running_out_of_memory_exits_2_with_a_hint(capsys, monkeypatch):
+    def exhausted(l, pivots):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "decompose", exhausted)
+    status, out, err = run_cli(capsys, "decompose", "--pivots", "linear", "--l", "5")
+    assert (status, out, err) == (2, "", "ztop: out of memory; try a smaller --horizon or --window\n")
 
 
 def test_out_of_memory_exits_2_without_traceback():
