@@ -15,13 +15,15 @@ bound that depends on m. The balanced digits of k read b_T too: they end
 at index T - 1, and the partial-sum and digit ratios divide by b_T last.
 
 Two kernels walk k/b_n along the chain up to b_T. ``first_arc_exit``
-answers "where does k/b_n first leave the arc at level m?", which the
-sequence witnesses need; ``arc_ratio`` answers "how far from 0 does k/b_n
-get?" as one exact pair for every level, which the direct membership route
-reads. Both use the chain's divisibility: past the one-digit terms they
-reduce k once, modulo the last term below b_T, and then walk a residue
-ladder down the chain, each step a division between neighbouring terms,
-until a residue is zero.
+answers every single-level question, "where does k/b_n first leave the arc
+at level m?", for the direct membership route and the sequence witnesses.
+It uses the chain's divisibility: past the one-digit terms it reduces k
+once, modulo the last term below b_T, and then walks a residue ladder down
+the chain, each step a division between neighbouring terms, until a
+residue is zero. ``arc_ratio`` answers "how far from 0 does k/b_n get?" as
+one exact pair for every level, which the criteria 2-3 sweeps read. It is
+the plain walk, k mod b_n at each term: a sweep's k are small, so every
+term it walks is a one-digit term, where a ladder saves nothing.
 
 ``trailing_zeros`` lets callers shift powers of two out of an integer
 before a gcd or a division: CPython divides big integers by schoolbook long
@@ -176,12 +178,19 @@ def first_arc_exit(k, terms, m):
 
     ``terms`` must be a divisibility chain (b_n divides b_{n+1}) that
     reaches b_T, the first term >= 2|k|, the bound every level shares. The
-    terms below b_T are walked as in ``arc_ratio``, with an exit test at
-    level m: the one-digit terms bottom-up, stopping at the first exit and
-    skipped when the largest of them divides k, then the residue ladder,
-    where the least failing index wins and a zero residue ends the walk.
-    Only when no term below b_T fails is b_T tested, as |k|/b_T: a later
-    term cannot fail first; k = 0 passes at b_T = b_0 = 1, with no walk.
+    terms below b_T are walked in two parts. The one-digit terms go
+    bottom-up with k itself, stopping at the first exit, and are skipped
+    when the largest of them divides k, since then every one of them does.
+    The larger terms go down a residue ladder: since k mod b_n = (k mod
+    b_{n+1}) mod b_n along the chain, k is reduced once, modulo the last
+    term below b_T, and each step below divides the previous residue by its
+    neighbouring term; the least failing index wins. A zero residue ends the
+    ladder: the terms below it divide k. A rung whose term is a power of two
+    masks the residue's low bits instead of dividing: on the pow2 chain the
+    quotient of neighbouring terms has as many bits as the divisor, and
+    CPython's long division has no fast path for it. Only when no term below
+    b_T fails is b_T tested, as |k|/b_T: a later term cannot fail first;
+    k = 0 passes at b_T = b_0 = 1, with no walk.
     """
     ak = -k if k < 0 else k
     bound = 2 * ak
@@ -229,51 +238,21 @@ def arc_ratio(k, terms):
     4m * t <= b.
 
     The walk ends at b_T, the first term >= 2|k|, where the ratio is
-    |k|/b_T; ``terms`` must be a divisibility chain that contains it. The
-    terms below b_T are walked in two parts. The one-digit terms go
-    bottom-up with k itself, skipped when the largest of them divides k,
-    since then every one of them does. The larger terms go down a residue
-    ladder: since k mod b_n = (k mod b_{n+1}) mod b_n along the chain, k is
-    reduced once, modulo the last term below b_T, and each step below
-    divides the previous residue by its neighbouring term. A zero residue
-    ends the ladder: the terms below it divide k. A rung whose term is a
-    power of two masks the residue's low bits instead of dividing: on the
-    pow2 chain the quotient of neighbouring terms has as many bits as the
-    divisor, and CPython's long division has no fast path for it. Ratios
-    are compared by cross-multiplication; k = 0 ends at b_T = b_0 = 1.
+    |k|/b_T; ``terms`` must contain it. Every term below b_T is walked with
+    k itself, and the ratios are compared by cross-multiplication, which
+    suits the sweeps' small k; a single-level question goes to
+    ``first_arc_exit``.
     """
     ak = -k if k < 0 else k
-    bound = 2 * ak
-    top = bisect_left(terms, bound)  # T
+    top = bisect_left(terms, 2 * ak)  # T
     if top == len(terms):
         raise ValueError("pivot prefix too short for membership scan")
     tn, td = 0, 1
-    start = 1
-    if bound > _ONE_DIGIT:
-        last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
-        if last and not k % terms[last]:
-            start = last + 1
-    for n in range(start, top):
+    for n in range(1, top):
         b = terms[n]
-        if b >= _ONE_DIGIT:
-            break
         t = k % b
         if (t << 1) >= b:
             t = b - t
-        if t * td > tn * b:
-            tn, td = t, b
-    else:
-        n = top
-    r = k
-    for i in range(top - 1, n - 1, -1):
-        b = terms[i]
-        if b & (b - 1):
-            r %= b
-        else:  # a power of two: a mask, not a long division
-            r &= b - 1
-        if not r:
-            break
-        t = b - r if (r << 1) >= b else r
         if t * td > tn * b:
             tn, td = t, b
     b = terms[top]
@@ -282,9 +261,9 @@ def arc_ratio(k, terms):
 
 def member_direct_scan(k, terms, m):
     """Whether k/b_n stays within the closed arc [-1/(4m), 1/(4m)] for all
-    n >= 1, read off ``arc_ratio``; ``terms`` must reach a term >= 2|k|."""
-    t, b = arc_ratio(k, terms)
-    return 4 * m * t <= b
+    n >= 1: ``first_arc_exit`` finds no exit. ``terms`` must reach a term
+    >= 2|k|."""
+    return first_arc_exit(k, terms, m) is None
 
 
 def member_partial_scan(k, terms, m):

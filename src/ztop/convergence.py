@@ -438,28 +438,24 @@ def peak_decay_report(
     j from block n0's first index to the horizon for a level-m witness, and
     is false at the first one, None at a budget refusal before it, and true
     otherwise. The block statistics and these scans read l_1..l_horizon from
-    one values list, so each term is evaluated once per report. No computed
-    peak is its own case, as n0 is read off the first one.
+    one values list, so each term is evaluated once per report. n0 is the
+    first level of the last run of computed peaks below 1/(4m), found in one
+    pass; with no computed peak there is no run, and no n0.
     """
     values, stats = _block_statistics(seq, pivots, horizon, levels)
     entries = []
     computed = sorted(stats.peaks)
     for m in thresholds:
         check_level(m)
-        if not computed:
-            entries.append(PeakDecayEntry(m, False, None, None))
-            continue
-        last_bad = None
+        n0 = None
         for n in computed:
             if 4 * m * stats.peaks[n].numerator >= stats.peaks[n].denominator:
-                last_bad = n
-        if last_bad is None:
-            n0 = computed[0]
-        elif last_bad == computed[-1]:
+                n0 = None
+            elif n0 is None:
+                n0 = n
+        if n0 is None:
             entries.append(PeakDecayEntry(m, False, None, None))
             continue
-        else:
-            n0 = min(n for n in computed if n > last_bad)
         j0 = stats.blocks[n0][0]
         scan = _witnesses(NeighborhoodSpec(pivots, Uniform(m)), [(j0, values[j0 - 1 :])])
         try:

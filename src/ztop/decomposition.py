@@ -112,7 +112,7 @@ def recompose_and_check(coeffs: PivotCoefficients) -> CoefficientCheck:
     verdict, and an empty list recomposes to 0 within both bounds.
     """
     digits = coeffs.coeffs
-    terms = coeffs.pivots.terms_until(1, extra=len(digits))
+    terms = coeffs.pivots.terms(len(digits) + 1)
     value, digit_ok, partial_ok = coefficient_checks(digits, terms)
     return CoefficientCheck(value, value == coeffs.source, digit_ok, partial_ok)
 
@@ -136,7 +136,8 @@ def round_trip_failures(pivots: PivotSequence, limit: int) -> list[tuple[int, Co
     are the digits of -l checked. That holds for any digit kernel, so the
     failures are those of checking every l.
     """
-    terms = pivots.terms_until(check_positive_int(limit, "limit"), extra=1)
+    # the digits of any |l| <= limit read b_T, the first term >= 2|l|, last
+    terms = pivots.terms_until(2 * check_positive_int(limit, "limit"))
     negatives = []
     positives = []
     for l in range(1, limit + 1):

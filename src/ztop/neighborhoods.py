@@ -10,16 +10,17 @@ topologies a pivot chain induces on the integers:
 
 Four routes into the uniform question are provided: the direct scan, the
 equivalent partial-sum criterion on the balanced digits, and one-sided
-digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). Each reads
-an exact pair that does not depend on the level m: the direct scan the
-largest |k/b_n mod 1| from the ``arc_ratio`` kernel, the last three the
-largest |k_n| b_n / b_{n+1} and the largest |sum_{i<=n} k_i b_i| / b_{n+1}
-from ``digit_ratios``. So at every level each route is one comparison.
-``route_violations`` runs all four routes over a range of k and a set of
-levels on the kernels directly: it fetches the chain prefix once,
-decomposes each k and reads its three pairs once, tests the levels only
-for a k whose routes stop holding at different levels, and returns each
-failure with the answers it compared.
+digit-ratio tests (sufficient at 1/(8m), necessary at 3/(8m)). The public
+direct route asks the level-m walk ``first_arc_exit``, which stops at the
+first term where k/b_n leaves the arc. The last three read exact pairs
+that do not depend on the level m, the largest |k_n| b_n / b_{n+1} and the
+largest |sum_{i<=n} k_i b_i| / b_{n+1} from ``digit_ratios``, so at every
+level each of them is one comparison. ``route_violations`` runs all four
+routes over a range of k and a set of levels on the kernels directly: it
+fetches the chain prefix once, decomposes each k, reads the direct route's
+level-free pair from ``arc_ratio`` and the two digit pairs once, tests the
+levels only for a k whose routes stop holding at different levels, and
+returns each failure with the answers it compared.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -111,7 +112,8 @@ class NeighborhoodSpec:
 
 
 def member_direct(k: int, pivots: PivotSequence, m: int) -> bool:
-    """Uniform membership by scanning k/b_n up to b_T, the first term
+    """Uniform membership at level m: ``first_arc_exit`` finds no n with
+    k/b_n outside the arc, scanning at most up to b_T, the first term
     >= 2|k|, which decides every level; k = 0, with no index to scan, is
     always a member."""
     check_int(k, "k")
@@ -142,7 +144,7 @@ def coeff_bound_test(coeffs: PivotCoefficients, m: int, mode: str) -> bool:
         raise ValueError(f"mode must be 'sufficient' or 'necessary', got {mode!r}")
     factor = 1 if mode == "sufficient" else 3
     digits = coeffs.coeffs
-    num, den = digit_ratios(digits, coeffs.pivots.terms_until(1, extra=len(digits)))[0]
+    num, den = digit_ratios(digits, coeffs.pivots.terms(len(digits) + 1))[0]
     return 8 * m * num <= factor * den
 
 
@@ -159,8 +161,9 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     The sweep form of the public routes: the chain prefix is fetched once,
     up to the first term >= 2 * limit whatever the levels, each k, 0
     included, is decomposed once, and the routes run on the kernels the
-    public functions use, the direct one on the ``arc_ratio`` pair of k and
-    the last three on its two ``digit_ratios`` pairs. None of the pairs
+    public functions use, except that the direct one reads the level-free
+    ``arc_ratio`` pair of k, which agrees with ``first_arc_exit`` at every
+    level, and the last three its two ``digit_ratios`` pairs. None of the pairs
     depends on m: a route whose test is 4m * n <= d holds exactly
     at the levels m <= d // (4n). When the direct and partial-sum routes
     hold up to the same level, and the sufficient test's last level is at

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -183,24 +182,18 @@ class PivotSequence:
         self.term(check_positive_int(count, "term count") - 1)
         return self._memo[:count]
 
-    def terms_until(self, bound: int, extra: int = 0) -> list[int]:
-        """Memoized prefix whose last needed term is >= bound, plus ``extra``.
+    def terms_until(self, bound: int) -> list[int]:
+        """Memoized prefix that contains a term >= max(bound, 1), grown no
+        further than the first such term when it has to grow.
 
         Returns the live memo list for speed; callers must treat it as
-        read-only. The list is guaranteed to contain a term >= max(bound, 1)
-        and ``extra`` terms after the first such term.
+        read-only. A caller that needs a count of terms asks ``terms``.
         """
         memo = self._memo
         if memo[-1] < bound:
             with self._lock:
                 while memo[-1] < bound:
                     self._append_next()
-        if extra:
-            last = bisect_left(memo, bound) + extra
-            if last >= len(memo):
-                with self._lock:
-                    while len(memo) <= last:
-                        self._append_next()
         return memo
 
     def cycle_product(self) -> int:

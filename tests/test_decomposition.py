@@ -11,6 +11,7 @@ from ztop.decomposition import (
     decompose,
     nearest_int,
     recompose_and_check,
+    round_trip_failures,
 )
 from ztop.pivots import make_pivots
 
@@ -172,3 +173,16 @@ def test_budget_error_propagates():
     tiny = make_pivots("square", bit_budget=40)
     with pytest.raises(Exception):
         decompose(2**50, tiny)
+
+
+@pytest.mark.parametrize(
+    "text, limit, memo",
+    [("square", 3, [1, 2, 16]), ("factorial", 5, [1, 2, 4, 64])],
+)
+def test_round_trip_sweep_builds_the_chain_only_to_b_T(text, limit, memo):
+    # the digits of every |l| <= limit read b_T, the first term >= 2 * limit,
+    # last; the chain stops there (square: not 512, factorial: not 2^24)
+    pivots = make_pivots(text)
+    assert round_trip_failures(pivots, limit) == []
+    assert pivots.terms_until(1) == memo
+

@@ -10,10 +10,10 @@ about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
 multiples of chain terms reach its zero-residue shortcuts, and the
 ``pivothalf`` and ``pivotsucc`` terms of the two-power chains, up to 2^18
 bits, its rungs that mask instead of dividing. The pair of ``arc_ratio``
-is checked against the Fraction maximum of |k/b_n mod 1| up to two indices
-past the first term >= 2|k|, and its test 4m * t <= b against the oracle at
-every level, on the arc boundaries, the ladder values and the multiples of
-terms, over the pow2 chain too.
+(the plain walk the sweeps read) is checked against the Fraction maximum
+of |k/b_n mod 1| up to two indices past the first term >= 2|k|, and its
+test 4m * t <= b against the oracle at every level, on the arc boundaries,
+the ladder values and the multiples of terms, over the pow2 chain too.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
@@ -312,10 +312,12 @@ def test_first_arc_exit_on_two_power_chains(text, family):
 
 # -- the level-free direct ratio ------------------------------------------------
 
-# arc_ratio walks the terms below 2|k| as first_arc_exit does, with no early
-# exit, and ends at the first term >= 2|k|; its pair is checked against the
-# Fraction maximum over two more terms, and its membership test 4m * t <= b
-# against the oracle's exits at every level.
+# arc_ratio is the plain walk: k mod b_n at every term below 2|k|, with no
+# ladder and no early exit, ending at the first term >= 2|k|. It gets the
+# values that take first_arc_exit onto its ladder, rungs and zero residues
+# too; its pair is checked against the Fraction maximum over two more terms,
+# and its membership test 4m * t <= b against the oracle's exits at every
+# level.
 ARC_CHAINS = {**CHAINS, "pow2": make_pivots("pow2")}
 
 
@@ -380,7 +382,7 @@ def test_arc_ratio_refuses_a_short_prefix():
     terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
     assert arc_ratio(2**35, terms) == (2**35, 2**36)
     with pytest.raises(ValueError, match="pivot prefix too short"):
-        arc_ratio(2**35 + 1, terms)  # the ladder's terms, but none >= 2|k|
+        arc_ratio(2**35 + 1, terms)  # terms past 2^30, but none >= 2|k|
     with pytest.raises(ValueError, match="pivot prefix too short"):
         arc_ratio(2**20, terms[:4])  # one-digit terms only
 
@@ -563,8 +565,8 @@ DIGIT_MAX = 10**40
 
 @lru_cache(maxsize=None)
 def digit_terms(text):
-    """The chain prefix up to the first term >= 4 * 8 * DIGIT_MAX, plus one."""
-    return make_pivots(text).terms_until(4 * max(DIGIT_LEVELS) * DIGIT_MAX, extra=1)
+    """The chain prefix up to the first term >= 2 * 4 * 8 * DIGIT_MAX."""
+    return make_pivots(text).terms_until(2 * 4 * max(DIGIT_LEVELS) * DIGIT_MAX)
 
 
 def fraction_ratios(digits, terms):

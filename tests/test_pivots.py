@@ -266,23 +266,18 @@ def test_terms_until_covers_bound(square):
     terms = square.terms_until(1000)
     assert terms[-1] >= 1000
     assert square.terms_until(1)[0] == 1
-    longer = square.terms_until(1000, extra=2)
-    assert len(longer) >= len(terms)
 
 
 def test_terms_until_small_bounds():
     seq = make_pivots("square")
     for bound in (-5, 0, 1):
         assert seq.terms_until(bound) == [1]
-    assert seq.terms_until(0, extra=2) == [1, 2, 16]
 
 
 def test_terms_until_grows_only_as_needed():
     seq = make_pivots("square")
     assert seq.terms_until(16) == [1, 2, 16]  # a bound equal to a term needs no more
     assert seq.terms_until(17) == [1, 2, 16, 512]  # a bound past the memo grows it
-    assert seq.terms_until(3, extra=1) == [1, 2, 16, 512]  # extra counts from b_2 >= 3
-    assert seq.terms_until(3, extra=2) == [1, 2, 16, 512, 65536]
     assert seq.terms_until(2**9) is seq.terms_until(1)  # the live memo, not a copy
 
 
@@ -292,10 +287,7 @@ def test_terms_until_budget_refusal_keeps_memo_consistent():
         seq.terms_until(2**81 + 1)  # needs b_10 = 2^100, 101 bits
     assert seq.terms_until(1) == [2 ** (n * n) for n in range(10)]
     assert [seq.term(n) for n in range(10)] == [2 ** (n * n) for n in range(10)]
-    with pytest.raises(BitBudgetExceeded):
-        seq.terms_until(2**81, extra=1)  # b_9 = 2^81, then b_10
     assert seq.terms_until(2**50) == [2 ** (n * n) for n in range(10)]
-    assert seq.terms_until(2**36, extra=2)[8] == 2**64
 
     chain = make_pivots(MultiplierChain((2, 3)), bit_budget=10)
     with pytest.raises(BitBudgetExceeded):
