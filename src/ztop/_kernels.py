@@ -1,5 +1,5 @@
 """Integer kernels for the hot paths: circle wrapping, balanced digit
-extraction, the digit and partial-sum ratios, the direct arc ratio,
+extraction, the digit and partial-sum ratios, the first arc exit,
 neighbourhood membership scans and the window sieve.
 
 All functions work on plain arbitrary-precision integers plus pivot term
@@ -14,16 +14,18 @@ at once, and every uniform answer grows the chain to 2|k|, never to a
 bound that depends on m. The balanced digits of k read b_T too: they end
 at index T - 1, and the partial-sum and digit ratios divide by b_T last.
 
-Two kernels walk k/b_n along the chain up to b_T. ``first_arc_exit``
-answers every single-level question, "where does k/b_n first leave the arc
-at level m?", for the direct membership route and the sequence witnesses.
-It uses the chain's divisibility: past the one-digit terms it reduces k
-once, modulo the last term below b_T, and then walks a residue ladder down
-the chain, each step a division between neighbouring terms, until a
-residue is zero. ``arc_ratio`` answers "how far from 0 does k/b_n get?" as
-one exact pair for every level, which the criteria 2-3 sweeps read. It is
-the plain walk, k mod b_n at each term: a sweep's k are small, so every
-term it walks is a one-digit term, where a ladder saves nothing.
+One kernel walks k/b_n along the chain up to b_T. ``first_arc_exit``
+answers "where does k/b_n first leave the arc at level m?" for the direct
+membership route, the sequence witnesses and the criteria 2-3 sweep. It
+uses the chain's divisibility: past the one-digit terms it reduces k once,
+modulo the last term below b_T, and then walks a residue ladder down the
+chain, each step a division between neighbouring terms, until a residue is
+zero. Its answer is monotone in m: the arcs shrink as m grows, so an exit
+at level m is an exit at every larger level, and a k != 0 lies in U_m
+exactly for m up to a last level M >= 0. The sweep relies on this: it asks
+the walk at the partial-sum route's last level and the one above, and when
+the first finds no exit and the second finds one, the two routes agree at
+every level.
 
 ``trailing_zeros`` lets callers shift powers of two out of an integer
 before a gcd or a division: CPython divides big integers by schoolbook long
@@ -191,6 +193,9 @@ def first_arc_exit(k, terms, m):
     CPython's long division has no fast path for it. Only when no term below
     b_T fails is b_T tested, as |k|/b_T: a later term cannot fail first;
     k = 0 passes at b_T = b_0 = 1, with no walk.
+
+    An exit at level m is an exit at every larger level, since the arcs are
+    nested; ``route_violations`` relies on it.
     """
     ak = -k if k < 0 else k
     bound = 2 * ak
@@ -229,34 +234,6 @@ def first_arc_exit(k, terms, m):
     if least is None and 4 * m * ak > terms[top]:
         return top
     return least
-
-
-def arc_ratio(k, terms):
-    """The exact pair (t, b) of the largest |wrap_half(k, b_n)| / b_n over
-    n >= 1, (0, 1) for k = 0. It does not depend on the level m: k/b_n
-    stays in the closed arc [-1/(4m), 1/(4m)] for every n exactly when
-    4m * t <= b.
-
-    The walk ends at b_T, the first term >= 2|k|, where the ratio is
-    |k|/b_T; ``terms`` must contain it. Every term below b_T is walked with
-    k itself, and the ratios are compared by cross-multiplication, which
-    suits the sweeps' small k; a single-level question goes to
-    ``first_arc_exit``.
-    """
-    ak = -k if k < 0 else k
-    top = bisect_left(terms, 2 * ak)  # T
-    if top == len(terms):
-        raise ValueError("pivot prefix too short for membership scan")
-    tn, td = 0, 1
-    for n in range(1, top):
-        b = terms[n]
-        t = k % b
-        if (t << 1) >= b:
-            t = b - t
-        if t * td > tn * b:
-            tn, td = t, b
-    b = terms[top]
-    return (ak, b) if ak * td > tn * b else (tn, td)
 
 
 def member_direct_scan(k, terms, m):

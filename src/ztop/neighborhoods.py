@@ -17,10 +17,11 @@ that do not depend on the level m, the largest |k_n| b_n / b_{n+1} and the
 largest |sum_{i<=n} k_i b_i| / b_{n+1} from ``digit_ratios``, so at every
 level each of them is one comparison. ``route_violations`` runs all four
 routes over a range of k and a set of levels on the kernels directly: it
-fetches the chain prefix once, decomposes each k, reads the direct route's
-level-free pair from ``arc_ratio`` and the two digit pairs once, tests the
-levels only for a k whose routes stop holding at different levels, and
-returns each failure with the answers it compared.
+fetches the chain prefix once, decomposes each k, reads the two digit
+pairs once, asks ``first_arc_exit`` whether the direct route stops holding
+where the partial-sum route does, tests the levels only for a k whose
+routes stop holding at different levels, and returns each failure with the
+answers it compared.
 
 Window queries do not ask the question one k at a time. Every condition
 |k/b_n mod 1| <= 1/(4m) is periodic in k with period b_n, and so is each
@@ -54,11 +55,11 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from ztop._kernels import (
-    arc_ratio,
     arc_sieve,
     decompose_digits,
     digit_ratios,
     divides,
+    first_arc_exit,
     mask_positions,
     member_direct_scan,
     member_partial_scan,
@@ -161,15 +162,15 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     The sweep form of the public routes: the chain prefix is fetched once,
     up to the first term >= 2 * limit whatever the levels, each k, 0
     included, is decomposed once, and the routes run on the kernels the
-    public functions use, except that the direct one reads the level-free
-    ``arc_ratio`` pair of k, which agrees with ``first_arc_exit`` at every
-    level, and the last three its two ``digit_ratios`` pairs. None of the pairs
-    depends on m: a route whose test is 4m * n <= d holds exactly
-    at the levels m <= d // (4n). When the direct and partial-sum routes
-    hold up to the same level, and the sufficient test's last level is at
-    most that one and the necessary test's at least, k breaks no claim at
-    any level and the level loop is skipped. A zero numerator stays out of
-    those divisions: an all-zero triple passes every level in the loop.
+    public functions use. The two ``digit_ratios`` pairs do not depend on
+    m: a test 4m * n <= d holds exactly at the levels m <= d // (4n), so
+    the partial-sum route holds up to mp = pd // (4 pn). The direct route
+    is monotone in m, so it holds up to mp too exactly when
+    ``first_arc_exit`` finds no exit at mp (nothing to ask at mp = 0) and
+    one at mp + 1. Then, if the sufficient test's last level is at most mp
+    and the necessary test's at least, k breaks no claim at any level and
+    the level loop is skipped. A zero numerator stays out of those
+    divisions and sends k to the loop, where k = 0 passes every level.
     """
     check_positive_int(limit, "limit")
     ms = tuple(ms)
@@ -180,15 +181,18 @@ def route_violations(pivots: PivotSequence, limit: int, ms: Sequence[int]):
     terms = pivots.terms_until(2 * limit)  # b_T of every |k| <= limit
     equivalence, implication = [], []
     for k in range(-limit, limit + 1):
-        an, ad = arc_ratio(k, terms)
         digits = decompose_digits(k, terms, bisect_left(terms, -k if k < 0 else k))
         (dn, dd), (pn, pd) = digit_ratios(digits, terms)
-        if an and pn and dn:
-            md = ad // (4 * an)
-            if md == pd // (4 * pn) and dd // (8 * dn) <= md <= 3 * dd // (8 * dn):
+        if pn and dn:
+            mp = pd // (4 * pn)
+            if (
+                dd // (8 * dn) <= mp <= 3 * dd // (8 * dn)
+                and (not mp or first_arc_exit(k, terms, mp) is None)
+                and first_arc_exit(k, terms, mp + 1) is not None
+            ):
                 continue
         for m in ms:
-            direct = 4 * m * an <= ad
+            direct = first_arc_exit(k, terms, m) is None
             if direct != (4 * m * pn <= pd):
                 equivalence.append((k, m, direct, not direct))  # the partial sums said otherwise
             # a member must pass the necessary test, a non-member fail the sufficient one

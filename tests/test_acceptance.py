@@ -207,16 +207,25 @@ def test_round_trip_failures_match_checking_every_integer(chain, edits, odd):
         assert decomposition.round_trip_failures(pivots, LIMIT) == [row for row in checks if not row[1].ok]
 
 
-def corrupt_arc_ratio(monkeypatch, target_k, value):
-    """Replace arc_ratio(k, terms) by the pair ``value`` at k == target_k on
-    the linear chain, as the sweep reads it: the direct route then holds
-    exactly at the levels m with 4m * value[0] <= value[1]."""
-    original = neighborhoods.arc_ratio
+def exit_at(pair, m):
+    """A first_arc_exit answer for a k whose largest |k/b_n mod 1| is the
+    pair (t, b): None when 4m * t <= b, and an exit index otherwise."""
+    t, b = pair
+    return None if 4 * m * t <= b else 1
 
-    def corrupted(k, terms):
-        return value if k == target_k and on_linear(terms) else original(k, terms)
 
-    monkeypatch.setattr(neighborhoods, "arc_ratio", corrupted)
+def corrupt_first_arc_exit(monkeypatch, target_k, value):
+    """Replace first_arc_exit(k, terms, m) by ``exit_at(value, m)`` at
+    k == target_k on the linear chain, as the sweep reads it: the direct
+    route then holds exactly at the levels m with 4m * value[0] <= value[1].
+    The public direct route reads the kernels' own binding and still
+    answers right."""
+    original = neighborhoods.first_arc_exit
+
+    def corrupted(k, terms, m):
+        return exit_at(value, m) if k == target_k and on_linear(terms) else original(k, terms, m)
+
+    monkeypatch.setattr(neighborhoods, "first_arc_exit", corrupted)
 
 
 def corrupt_ratios(monkeypatch, target_value, pair, value):
@@ -252,7 +261,7 @@ def test_membership_sweep_reports_one_corrupted_direct_route(monkeypatch):
     # k = LIMIT is no member over the linear chain, and its digit ratio 1/2
     # fails the necessary test, so a direct answer flipped at m = 1 breaks
     # both claims: the ratio 1/4 passes m = 1 alone
-    corrupt_arc_ratio(monkeypatch, LIMIT, (1, 4))
+    corrupt_first_arc_exit(monkeypatch, LIMIT, (1, 4))
     eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT)
     assert (eq_ok, chain_ok) == (False, False)
     assert "1 equivalence violations, 1 implication violations" in detail
@@ -273,7 +282,7 @@ def test_membership_sweep_reports_one_corrupted_digit_ratio(monkeypatch):
 def test_membership_sweep_reports_a_corrupted_zero(monkeypatch):
     # 0 goes through the kernels like every other k. The ratio 1/8 fails
     # every level from 4 on, so only m = 4 is swept
-    corrupt_arc_ratio(monkeypatch, 0, (1, 8))
+    corrupt_first_arc_exit(monkeypatch, 0, (1, 8))
     eq_ok, chain_ok, _, detail = acceptance.membership_sweep(limit=LIMIT, ms=(4,))
     assert (eq_ok, chain_ok) == (False, False)
     assert "1 equivalence violations, 1 implication violations" in detail
@@ -301,16 +310,17 @@ RATIO_PAIRS = st.tuples(st.integers(0, 3), st.integers(1, 32))
 # stops at m = 1, at 6 the sufficient one holds up to m = 8
 @example(corrupt={5: ((1, 8), ((3, 8), (1, 8))), 6: ((1, 8), ((1, 64), (1, 8)))}, ms=[3, 2])
 def test_route_violations_match_checking_every_level(chain, corrupt, ms):
-    # arc_ratio and digit_ratios answer drawn pairs, zeros included, at
-    # drawn k; the sweep, which skips a k whose routes' last levels agree,
-    # must return the rows of testing every k at every level of ``ms``
+    # first_arc_exit answers as for a drawn pair and digit_ratios answers
+    # drawn pairs, zeros included, at drawn k; the sweep, which skips a k
+    # whose routes' last levels agree, must return the rows of testing
+    # every k at every level of ``ms``
     pivots = make_pivots(chain)
     terms = pivots.terms_until(2 * LIMIT)
-    original_arc, original_digits = neighborhoods.arc_ratio, neighborhoods.digit_ratios
+    original_exit, original_digits = neighborhoods.first_arc_exit, neighborhoods.digit_ratios
 
-    def arc_ratio(k, terms):
+    def first_arc_exit(k, terms, m):
         pair = corrupt.get(k, (None, None))[0]
-        return original_arc(k, terms) if pair is None else pair
+        return original_exit(k, terms, m) if pair is None else exit_at(pair, m)
 
     def digit_ratios(digits, terms):
         pairs = corrupt.get(sum(d * b for d, b in zip(digits, terms)), (None, None))[1]
@@ -318,17 +328,16 @@ def test_route_violations_match_checking_every_level(chain, corrupt, ms):
 
     equivalence, implication = [], []
     for k in range(-LIMIT, LIMIT + 1):
-        an, ad = arc_ratio(k, terms)
         (dn, dd), (pn, pd) = digit_ratios(decomposition.decompose(k, pivots).coeffs, terms)
         for m in ms:
-            direct, partial = 4 * m * an <= ad, 4 * m * pn <= pd
+            direct, partial = first_arc_exit(k, terms, m) is None, 4 * m * pn <= pd
             sufficient, necessary = 8 * m * dn <= dd, 8 * m * dn <= 3 * dd
             if direct != partial:
                 equivalence.append((k, m, direct, partial))
             if (sufficient and not direct) or (direct and not necessary):
                 implication.append((k, m, sufficient, direct, necessary))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(neighborhoods, "arc_ratio", arc_ratio)
+        mp.setattr(neighborhoods, "first_arc_exit", first_arc_exit)
         mp.setattr(neighborhoods, "digit_ratios", digit_ratios)
         assert neighborhoods.route_violations(pivots, LIMIT, ms) == (equivalence, implication)
 

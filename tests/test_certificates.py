@@ -1,12 +1,19 @@
-"""Every saved run of test_golden.py but ``verify-paper``'s, re-checked by
-certcheck.py, which imports nothing from ztop; and records made wrong on
-purpose, which it must refuse."""
+"""Every saved run of test_golden.py but ``verify-paper``'s, and the runs
+that exit 0 or 1 among a seeded sample of test_cli_fuzz.py's invocations,
+re-checked by certcheck.py, which imports nothing from ztop; and records
+made wrong on purpose, which it must refuse.
+
+The fuzzed runs reach inputs that no golden pins. Their sample is drawn
+with a fixed seed and no example database, so it is the same on every
+run."""
 
 import json
 
 import pytest
+from hypothesis import Phase, given, seed, settings
 
 from certcheck import DEFAULT_BUDGET, CheckFailed, check_output
+from test_cli_fuzz import COMMANDS, invocations, run
 from test_golden import CASES, GOLDEN
 
 # a run refused before its result prints no record
@@ -22,11 +29,16 @@ def saved(name):
     return (GOLDEN / f"{name}.stdout").read_text().splitlines(), int(budget) if budget else DEFAULT_BUDGET
 
 
+def record_count(lines):
+    """The result records of a run's output lines: all but the header, and
+    the column line of a CSV table."""
+    return len(lines) - (2 if lines[0].startswith("# ") else 1)
+
+
 @pytest.mark.parametrize("name", CHECKED)
 def test_the_checker_certifies_the_saved_run(name):
     lines, budget = saved(name)
-    records = len(lines) - (2 if lines[0].startswith("# ") else 1)  # CSV has a column line
-    assert len(check_output("\n".join(lines), budget)) == records
+    assert len(check_output("\n".join(lines), budget)) == record_count(lines)
 
 
 def test_the_checker_says_how_it_certified_a_window():
@@ -120,3 +132,62 @@ def test_a_wrong_peak_decay_entry_is_refused():
         "peak-decay at m = 1: crosscheck_ok should be None")
     assert refuses("blocks-square-pivotsucc", lambda r: r.update(settled_level=3), line=-1) == (
         "peak-decay at m = 2: settled_level should be 2")
+
+
+# -- a seeded sample of the CLI fuzz's runs ---------------------------------------
+
+FUZZ_SEED, FUZZ_EXAMPLES = 0, 80  # 29 runs exit 0 or 1, and every command has one
+
+
+@pytest.fixture(scope="module")
+def fuzzed_runs():
+    """(argv, config, stdout) of every run that exits 0 or 1 among the
+    seeded sample of invocations, under the default bit budget."""
+    sample = []
+
+    @seed(FUZZ_SEED)
+    @settings(max_examples=FUZZ_EXAMPLES, database=None, phases=[Phase.generate], derandomize=False)
+    @given(invocations())
+    def draw(invocation):
+        sample.append(invocation)
+
+    draw()
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ZTOP_BIT_BUDGET", raising=False)
+        for argv, config in sample:
+            status, out, _ = run(argv, config)
+            if status in (0, 1):
+                runs.append((argv, config, out))
+    return runs
+
+
+def test_the_checker_certifies_the_fuzzed_runs(fuzzed_runs):
+    assert {argv[0] for argv, _, _ in fuzzed_runs} == set(COMMANDS)
+    for argv, config, out in fuzzed_runs:
+        assert len(check_output(out)) == record_count(out.splitlines()), (argv, config)
+
+
+# command -> (a change that makes its first result record wrong, how the
+# checker refuses the run)
+WRONG = {
+    "member": (lambda r: r.update(direct=not r["direct"]), "direct should be"),
+    "decompose": (lambda r: r.update(ok=not r["ok"]), "ok should be"),
+    "discrete": (lambda r: r.update(verified=not r["verified"]), "verified should be"),
+    "dual": (lambda r: r.update(kernel_continuous=not r["kernel_continuous"]), "kernel check should be"),
+    "converge": (lambda r: r["witnesses"].append({"j": r["horizon"] + 1, "n": 1, "value": None}),
+                 "witnesses should be"),
+    "blocks": (lambda r: r.update(kind="wrong"), "kind should be"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(WRONG))
+def test_a_wrong_record_among_the_fuzzed_runs_is_refused(fuzzed_runs, command):
+    change, refusal = WRONG[command]
+    out = next(out for argv, _, out in fuzzed_runs if argv[0] == command and out.startswith("{"))
+    lines = out.splitlines()
+    record = json.loads(lines[1])
+    change(record)
+    lines[1] = json.dumps(record)
+    with pytest.raises(CheckFailed, match=refusal):
+        check_output("\n".join(lines))

@@ -108,6 +108,8 @@ def invocations(draw):
 
 
 def run(argv, config):
+    """(exit status, stdout, stderr) of ``ztop`` on argv, given the config
+    file ``config`` when it is not None."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
@@ -120,14 +122,14 @@ def run(argv, config):
                 status = main(argv)
             except SystemExit as exc:  # argparse refusals
                 status = exc.code
-    return status, err.getvalue()
+    return status, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
 @given(invocations())
 def test_cli_never_tracebacks(invocation):
     argv, config = invocation
-    status, err = run(argv, config)
+    status, _, err = run(argv, config)
     assert status in (0, 1, 2), (argv, config, status, err)
     assert "Traceback" not in err
 
@@ -139,6 +141,6 @@ def test_cli_never_tracebacks(invocation):
 )
 def test_verify_paper_quick_never_tracebacks(seed, config):
     argv = ["verify-paper", "--quick"] + ([] if seed is None else ["--seed", seed])
-    status, err = run(argv, config)
+    status, _, err = run(argv, config)
     assert status in (0, 1, 2), (seed, config, status, err)
     assert "Traceback" not in err

@@ -9,11 +9,13 @@ b_T decides every level, and no later term fails first. Values up to
 about 2^300 take ``first_arc_exit`` past 2^30, onto its residue ladder;
 multiples of chain terms reach its zero-residue shortcuts, and the
 ``pivothalf`` and ``pivotsucc`` terms of the two-power chains, up to 2^18
-bits, its rungs that mask instead of dividing. The pair of ``arc_ratio``
-(the plain walk the sweeps read) is checked against the Fraction maximum
-of |k/b_n mod 1| up to two indices past the first term >= 2|k|, and its
-test 4m * t <= b against the oracle at every level, on the arc boundaries,
-the ladder values and the multiples of terms, over the pow2 chain too.
+bits, its rungs that mask instead of dividing. The arc boundaries and the
+multiples of terms run over the pow2 chain too. The criteria 2-3 sweep
+asks ``first_arc_exit`` at the partial-sum route's last level mp and at
+mp + 1, levels far above the small ones drawn elsewhere; the walk is
+checked there against the oracle on the boundary, ladder and multiple
+values, and its "no exit" is checked to be monotone in the level, which
+the sweep's skip relies on, on drawn levels up to 2^64.
 
 The one-sided digit tests are checked against their Fraction definition,
 max |k_n| b_n / b_{n+1} <= 1/(8m) (sufficient) or 3/(8m) (necessary), on
@@ -59,7 +61,6 @@ from hypothesis import strategies as st
 
 from ztop import neighborhoods
 from ztop._kernels import (
-    arc_ratio,
     arc_sieve,
     coefficient_checks,
     decompose_digits,
@@ -90,6 +91,8 @@ from ztop.torus import canonicalize, in_arc
 CHAINS = {
     text: make_pivots(text) for text in ("linear", "square", "factorial", "chain:2,3", "chain:3,4,2")
 }
+# and pow2, whose quotients b_{n+1}/b_n = b_n have as many bits as the divisor
+ARC_CHAINS = {**CHAINS, "pow2": make_pivots("pow2")}
 LEVELS = range(1, 9)
 
 
@@ -152,9 +155,9 @@ def boundary_values(pivots, m, n):
     return [s * (base + d + c * b) for s in (1, -1) for d in offsets for c in (0, 1, 2)]
 
 
-@pytest.mark.parametrize("text", sorted(CHAINS))
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
 def test_routes_match_the_oracle_on_arc_boundaries(text):
-    pivots = CHAINS[text]
+    pivots = ARC_CHAINS[text]
     for m in LEVELS:
         for n in range(1, 8):
             for k in boundary_values(pivots, m, n):
@@ -258,9 +261,9 @@ def term_multiples(pivots, j):
     return [s * (c * b + d) for s in (1, -1) for c in (1, 2, 3, 7) for d in (-1, 0, 1)]
 
 
-@pytest.mark.parametrize("text", sorted(CHAINS))
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
 def test_first_arc_exit_on_multiples_of_a_term(text):
-    pivots = CHAINS[text]
+    pivots = ARC_CHAINS[text]
     top = last_index_below(pivots, 30)  # the largest one-digit term
     for j in sorted({1, 2, top - 1, top, top + 1, top + 2, last_index_below(pivots, K_BITS)}):
         for k in term_multiples(pivots, j):
@@ -281,9 +284,9 @@ def one_digit_multiples(pivots):
     return ks
 
 
-@pytest.mark.parametrize("text", sorted(CHAINS))
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
 def test_first_arc_exit_when_only_the_one_digit_terms_divide(text):
-    pivots = CHAINS[text]
+    pivots = ARC_CHAINS[text]
     for k in one_digit_multiples(pivots):
         for m in LEVELS:
             check_routes(k, pivots, m)
@@ -310,84 +313,8 @@ def test_first_arc_exit_on_two_power_chains(text, family):
                 assert got == first, (j, k < 0, m)
 
 
-# -- the level-free direct ratio ------------------------------------------------
-
-# arc_ratio is the plain walk: k mod b_n at every term below 2|k|, with no
-# ladder and no early exit, ending at the first term >= 2|k|. It gets the
-# values that take first_arc_exit onto its ladder, rungs and zero residues
-# too; its pair is checked against the Fraction maximum over two more terms,
-# and its membership test 4m * t <= b against the oracle's exits at every
-# level.
-ARC_CHAINS = {**CHAINS, "pow2": make_pivots("pow2")}
-
-
-def oracle_arc_ratio(k, pivots):
-    """max |canonicalize(k/b_n)| over n >= 1, up to two indices past the
-    first term >= 2|k|."""
-    best, n, past = Fraction(0), 1, 0
-    while past < 2:
-        b = pivots.term(n)
-        best = max(best, abs(oracle_point(k, b).rep))
-        if b >= 2 * abs(k):
-            past += 1
-        n += 1
-    return best
-
-
-def check_arc_ratio(k, pivots):
-    t, b = arc_ratio(k, least_prefix(k, pivots))
-    assert b >= 1 and Fraction(t, b) == oracle_arc_ratio(k, pivots), k
-    for m in LEVELS:
-        assert (4 * m * t <= b) == (not oracle_exits(k, pivots, m)), (k, m)
-
-
-def test_arc_ratio_of_zero():
-    assert arc_ratio(0, [1]) == (0, 1)
-
-
-@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
-def test_arc_ratio_on_arc_boundaries(text):
-    pivots = ARC_CHAINS[text]
-    for m in LEVELS:
-        for n in range(1, 8):
-            for k in boundary_values(pivots, m, n):
-                check_arc_ratio(k, pivots)
-
-
-@settings(deadline=None)
-@given(ladder_values())
-def test_arc_ratio_on_the_ladder(case):
-    text, _, k = case
-    check_arc_ratio(k, CHAINS[text])
-
-
-@pytest.mark.parametrize("name", sorted(LADDER_CASES))
-def test_arc_ratio_at_chosen_rungs(name):
-    text, _, k, _ = LADDER_CASES[name]
-    check_arc_ratio(k, CHAINS[text])
-
-
-@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
-def test_arc_ratio_on_multiples_of_a_term(text):
-    pivots = ARC_CHAINS[text]
-    top = last_index_below(pivots, 30)
-    ks = one_digit_multiples(pivots)
-    for j in sorted({1, 2, top - 1, top, top + 1, top + 2, last_index_below(pivots, K_BITS)}):
-        ks += term_multiples(pivots, j)
-    for k in ks:
-        check_arc_ratio(k, pivots)
-
-
-def test_arc_ratio_refuses_a_short_prefix():
-    terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
-    assert arc_ratio(2**35, terms) == (2**35, 2**36)
-    with pytest.raises(ValueError, match="pivot prefix too short"):
-        arc_ratio(2**35 + 1, terms)  # terms past 2^30, but none >= 2|k|
-    with pytest.raises(ValueError, match="pivot prefix too short"):
-        arc_ratio(2**20, terms[:4])  # one-digit terms only
-
-
 def test_first_arc_exit_refuses_a_short_prefix():
+    assert first_arc_exit(0, [1], 1) is None  # b_T = b_0 = 1, no term walked
     terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
     # b_T = b_6 = 2|k| is enough: the lower terms divide k, and k/b_6 = 1/2
     assert first_arc_exit(2**35, terms, 1) == 6
@@ -395,6 +322,71 @@ def test_first_arc_exit_refuses_a_short_prefix():
         first_arc_exit(2**35 + 1, terms, 1)  # the ladder's terms, but none >= 2|k|
     with pytest.raises(ValueError, match="pivot prefix too short"):
         first_arc_exit(2**20, terms[:4], 1)  # one-digit terms only
+
+
+# -- the levels the criteria 2-3 sweep asks ------------------------------------
+
+# route_violations asks first_arc_exit at the partial-sum route's last level
+# mp = pd // (4 pn) and at mp + 1, and skips k when the walk finds no exit at
+# the first and one at the second. Those levels run far above LEVELS: at
+# k = b_5 on the square chain, mp = b_6 // (4 b_5). The skip also relies on
+# "no exit" being monotone in the level, checked on drawn levels up to 2^64.
+
+
+def partial_last_level(k, terms):
+    """mp, the last level the partial-sum route holds k at, or None for k = 0."""
+    digits = decompose_digits(k, terms, bisect_left(terms, abs(k)))
+    pn, pd = digit_ratios(digits, terms)[1]
+    return pd // (4 * pn) if pn else None
+
+
+def check_sweep_levels(k, pivots):
+    """first_arc_exit at mp and mp + 1 (at 1 alone when mp = 0) gives the
+    oracle's first exit."""
+    terms = least_prefix(k, pivots)
+    mp = partial_last_level(k, terms)
+    for m in (mp, mp + 1) if mp else (1,):
+        first = (oracle_exits(k, pivots, m) or [None])[0]
+        assert first_arc_exit(k, terms, m) == first, (k, m)
+
+
+def test_the_sweep_levels_run_past_the_small_levels():
+    b5, b6 = SQ.term(5), SQ.term(6)
+    assert partial_last_level(b5, least_prefix(b5, SQ)) == b6 // (4 * b5) == 512
+    assert partial_last_level(0, [1]) is None
+
+
+@pytest.mark.parametrize("text", sorted(ARC_CHAINS))
+def test_first_arc_exit_at_the_sweep_levels(text):
+    pivots = ARC_CHAINS[text]
+    top = last_index_below(pivots, 30)
+    ks = one_digit_multiples(pivots)
+    for j in sorted({1, 2, top - 1, top, top + 1, top + 2, last_index_below(pivots, K_BITS)}):
+        ks += term_multiples(pivots, j)
+    for m in LEVELS:
+        for n in range(1, 8):
+            ks += boundary_values(pivots, m, n)
+    for k in ks:
+        check_sweep_levels(k, pivots)
+
+
+@settings(deadline=None)
+@given(ladder_values())
+def test_first_arc_exit_at_the_sweep_levels_on_the_ladder(case):
+    text, _, k = case
+    check_sweep_levels(k, CHAINS[text])
+
+
+@settings(deadline=None)
+@given(
+    ladder_values(),
+    st.lists(st.integers(min_value=1, max_value=16) | st.integers(min_value=1, max_value=2**64), min_size=2),
+)
+def test_no_exit_is_monotone_in_the_level(case, levels):
+    text, _, k = case
+    terms = least_prefix(k, CHAINS[text])
+    members = [first_arc_exit(k, terms, m) is None for m in sorted(levels)]
+    assert members == sorted(members, reverse=True), (k, sorted(levels))
 
 
 # -- the one-sided digit tests ---------------------------------------------------

@@ -1,14 +1,22 @@
 """README's examples run as written: the library example executes, and each
 `ztop ...` line of its shell blocks exits as documented. The full
-`ztop verify-paper` is left to the golden `verify-paper-seed0.stdout`."""
+`ztop verify-paper` is left to the golden `verify-paper-seed0.stdout`.
+The module table names every module of the package, and each Python name
+in backticks in a row's contents exists: in that row's module, as a chain
+form or sequence family, or as the `ztop` command."""
 
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import ztop
 from ztop import cli
+from ztop.convergence import FAMILIES
+from ztop.pivots import EXPONENT_FORMS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
@@ -37,3 +45,21 @@ def test_command_line_example_exits_as_documented(argv, capsys):
     assert cli.main(argv[1:]) == (1 if line in FALSIFIED else 0)
     out, err = capsys.readouterr()
     assert out and not err
+
+
+MODULE_ROWS = dict(re.findall(r"^\| `(ztop\.\w+)` \| (.*) \|$", README, flags=re.M))
+
+
+def test_module_table_names_every_module():
+    assert set(MODULE_ROWS) == {f"ztop.{m.name}" for m in pkgutil.iter_modules(ztop.__path__)}
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_ROWS))
+def test_module_table_names_only_what_exists(module):
+    mod = importlib.import_module(module)
+    names = [name for name in re.findall(r"`([^`]*)`", MODULE_ROWS[module]) if name.isidentifier()]
+    missing = [
+        name for name in names
+        if not (hasattr(mod, name) or name in EXPONENT_FORMS or name in FAMILIES or name == "ztop")
+    ]
+    assert not missing
