@@ -81,8 +81,10 @@ def decompose_digits(l, terms, top):
     The kernel steps from one nonzero digit to the next. A level with
     2|r| <= b_n rounds to 0 and leaves r as it is, so the next level that
     matters is the largest b_n < 2|r|, found by bisection below the current
-    level; level 0 takes what is left of r. The digit list is allocated at
-    the first nonzero level, so it needs no trimming.
+    level; level 0 takes what is left of r. A zero remainder ends the walk:
+    every lower level rounds to 0, no term lies below 2|r| = 0, and level 0
+    keeps its 0. The digit list is allocated at the first nonzero level, so
+    it needs no trimming.
     """
     if not l:
         return []
@@ -99,8 +101,6 @@ def decompose_digits(l, terms, top):
         else:
             r += f * b
             digits[n] = -f
-        if not r:
-            return digits
         ar2 = (-r if r < 0 else r) << 1
         n -= 1
         if terms[n] >= ar2:
@@ -205,7 +205,7 @@ def first_arc_exit(k, terms, m):
     start = 1
     if bound > _ONE_DIGIT:
         last = bisect_left(terms, _ONE_DIGIT) - 1  # the largest one-digit term
-        if last and not k % terms[last]:
+        if not k % terms[last]:
             start = last + 1
     for n in range(start, top):
         b = terms[n]
@@ -263,13 +263,10 @@ def mask_positions(mask, start=0, step=1):
     at least one position set in _SPARSE, goes lazily through ``compress``,
     which makes an int for every position but costs less per position than
     a call to ``find``, and so does every mask with step != 1, which keeps
-    the walk with ``find`` free of multiplications. A mask of ones only is
-    the bare range. Clearing a byte already passed does not disturb the
-    positions still to come.
+    the walk with ``find`` free of multiplications. Clearing a byte already
+    passed does not disturb the positions still to come.
     """
     count = mask.count(1)
-    if count == len(mask):
-        return range(start, start + count * step, step)
     if count * _SPARSE >= len(mask) or step != 1:
         return compress(range(start, start + len(mask) * step, step), mask)
     out = []
@@ -305,7 +302,8 @@ def arc_sieve(lo, hi, conds):
     slice per failing residue. Any other condition is struck out residue by
     residue while the failing residues are no more than the k still
     standing, and is otherwise checked directly on the survivors, as is one
-    whose p has no inverse mod q.
+    whose p has no inverse mod q. Once no k stands, every such condition
+    goes to the direct check, which walks no survivor.
 
     Byte i of the returned bytearray is 1 iff lo + i satisfies every
     condition. Since |wrap_half(-x, q)| == |wrap_half(x, q)|, the mask of
@@ -343,13 +341,10 @@ def arc_sieve(lo, hi, conds):
                         mask[i0:i1] = zeros[: i1 - i0]
                 continue
             inv = 1
+        elif gap > mask.count(1) or gcd(p, q) != 1:
+            direct.append((p, q, r))
+            continue
         else:
-            live = mask.count(1)
-            if live == 0:
-                return mask
-            if gap > live or gcd(p, q) != 1:
-                direct.append((p, q, r))
-                continue
             inv = pow(p, -1, q)
         for t in range(r + 1, q - r):
             i0 = (inv * t - lo) % q

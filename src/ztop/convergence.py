@@ -352,7 +352,9 @@ def block_statistics(
 def _block_statistics(seq, pivots, horizon, levels):
     """(values, stats): ``block_statistics`` and the values [l_1, ...,
     l_horizon] it read, for a caller that scans them again. A zero l_j
-    skips the suffix gcd step, since ``trailing_zeros(0)`` is -1."""
+    skips the suffix gcd step, since ``trailing_zeros(0)`` is -1. The level
+    loop stops at the first missing settle index, so the settle levels are
+    1 .. len(settle), and the peaks go in by increasing level."""
     check_positive_int(horizon, "horizon")
     cap = horizon if levels is None else check_positive_int(levels, "levels")
     values, refusal = _values(seq, 1, horizon + 1)
@@ -374,7 +376,6 @@ def _block_statistics(seq, pivots, horizon, levels):
     settle: dict[int, int] = {}
     missing: list[int] = []
     note = ""
-    n_top = 0
     terms = pivots.terms_until(1)
     for n in range(1, cap + 2):
         if n == len(terms):
@@ -394,18 +395,17 @@ def _block_statistics(seq, pivots, horizon, levels):
             missing.append(n)
             break
         settle[n] = s + 1
-        n_top = n
     blocks: dict[int, tuple[int, int]] = {}
     peaks: dict[int, Fraction] = {}
     if settle:
         blocks[0] = (1, settle[1] - 1)  # empty when j_1 == 1
-        for n in range(1, n_top):
+        for n in range(1, len(settle)):
             jn, jn1 = settle[n], settle[n + 1]
             blocks[n] = (jn, jn) if jn == jn1 else (jn, jn1 - 1)
         for n, (lo, hi) in blocks.items():
             if lo > hi:
                 continue
-            # n < n_top, and the settle loop has already built b_{n_top}
+            # n < len(settle), and the settle loop has already built b_{len(settle)}
             block = values[lo - 1 : hi]
             peaks[n] = _ratio(max(max(block), -min(block)), terms[n + 1])
     return values, BlockStatistics(settle, blocks, peaks, tuple(missing), horizon, note)
@@ -444,12 +444,11 @@ def peak_decay_report(
     """
     values, stats = _block_statistics(seq, pivots, horizon, levels)
     entries = []
-    computed = sorted(stats.peaks)
     for m in thresholds:
         check_level(m)
         n0 = None
-        for n in computed:
-            if 4 * m * stats.peaks[n].numerator >= stats.peaks[n].denominator:
+        for n, peak in stats.peaks.items():
+            if 4 * m * peak.numerator >= peak.denominator:
                 n0 = None
             elif n0 is None:
                 n0 = n

@@ -43,7 +43,8 @@ lies in the closed arc [-1/(4m), 1/(4m)] iff 4m * min(k mod b, b - k mod b)
   or when deciding it does. Deciding l_j at any level needs the terms up
   to the first b_n >= 2|l_j|: past it, |l_j|/b_n only falls.
 * ``blocks``, as JSON or CSV: the whole table at once. Each settle index
-  j_n is found by scanning l_j down from the horizon while b_n divides it;
+  j_n is found by scanning l_j down from the horizon while b_n divides it,
+  which on a two-power chain compares a_n with the trailing zeros of l_j;
   the levels run up to ``levels`` + 1 (the horizon + 1 by default) and stop
   at the first missing j_n, or at the first b_n over the budget, where the
   run notes a refusal. The blocks follow from the j_n, each peak
@@ -420,13 +421,21 @@ def block_rows(config, budget):
     for j in range(1, horizon + 1):
         expect(evaluating_bits(family, chain, j) <= budget, f"l_{j} needs a term over the budget")
     values = [sequence_term(family, chain, j) for j in range(1, horizon + 1)]
+    if chain.mults is None:  # 2^(a_n) divides l iff l = 0 or l has a_n trailing zeros
+        zeros = [(l & -l).bit_length() - 1 if l else math.inf for l in values]
     settle, missing = {}, []
     for n in range(1, config.get("levels", horizon) + 2):
         if chain.bits(n) > budget:
             break  # b_n is refused, and the run notes it
         j = horizon
-        while j and values[j - 1] % chain.term(n) == 0:
-            j -= 1
+        if chain.mults is None:
+            a = chain.exponent(n)
+            while j and zeros[j - 1] >= a:
+                j -= 1
+        else:
+            b = chain.term(n)
+            while j and values[j - 1] % b == 0:
+                j -= 1
         if j == horizon:
             missing.append({"kind": "missing-settle-index", "n": n, "settle_index": None,
                             "block_lo": None, "block_hi": None, "peak": None})

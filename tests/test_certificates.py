@@ -125,6 +125,30 @@ def test_a_wrong_peak_is_refused(name):
     assert refuses(name, double, line=4) == "block at n = 3: the peak is not max |l_j| / b_4"
 
 
+# Settle indices on a two-power chain, where the checker compares a_n with
+# the trailing zeros of l_j, over 282 values of up to about 80,000 bits, and
+# on a multiplier chain, where it divides
+LONG_BLOCKS = {
+    "poly:1,1": ["blocks", "--pivots", "poly:1,1", "--sequence", "geomdiff", "--horizon", "282",
+                 "--levels", "466", "--format", "json"],
+    "chain:2,3": ["blocks", "--pivots", "chain:2,3", "--sequence", "pivotsucc", "--horizon", "40",
+                  "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("pivots", sorted(LONG_BLOCKS))
+def test_the_checker_finds_settle_indices_on_either_kind_of_chain(pivots):
+    status, out, _ = run(LONG_BLOCKS[pivots], None)
+    assert status == 0
+    lines = out.splitlines()
+    assert len(check_output(out)) == record_count(lines)
+    record = json.loads(lines[4])  # block n = 3
+    record["settle_index"] += 1
+    lines[4] = json.dumps(record)
+    with pytest.raises(CheckFailed, match="block at n = 3: settle_index should be"):
+        check_output("\n".join(lines))
+
+
 def test_a_wrong_peak_decay_entry_is_refused():
     assert refuses("blocks-square-pivotsucc", lambda r: r.update(crosscheck_ok=False), line=-1) == (
         "peak-decay at m = 2: crosscheck_ok should be True")

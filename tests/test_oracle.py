@@ -313,6 +313,27 @@ def test_first_arc_exit_on_two_power_chains(text, family):
                 assert got == first, (j, k < 0, m)
 
 
+# On chain:1073741824,3, b_1 = 2^30 and b_0 = 1 is the only one-digit term.
+# Past 2^30 the divisor skip tests b_0, which divides every k, so the
+# one-digit pass starts at index 1, where its first term sends it to the
+# ladder.
+WIDE = make_pivots("chain:1073741824,3")
+
+
+def test_first_arc_exit_when_b_0_is_the_only_one_digit_term():
+    assert WIDE.term(1) == 2**30
+    ks = [c * 2**29 + d for c in (1, 3, 5, 2**31 + 1) for d in (-1, 0, 1)]
+    for j in range(1, 6):
+        ks += term_multiples(WIDE, j)
+        for m in LEVELS:
+            ks += boundary_values(WIDE, m, j)
+    ks = [k for k in ks if 2 * abs(k) > 2**30]
+    assert len(ks) > 100
+    for k in ks:
+        for m in LEVELS:
+            check_routes(k, WIDE, m)
+
+
 def test_first_arc_exit_refuses_a_short_prefix():
     assert first_arc_exit(0, [1], 1) is None  # b_T = b_0 = 1, no term walked
     terms = CHAINS["square"].terms(7)  # b_0 .. b_6 = 2^36
@@ -732,6 +753,42 @@ def test_digit_kernels_refuse_a_short_prefix(text):
                 assert outcome(member_partial_scan, l, short, m) is IndexError
 
 
+# Remainders that reach 0 above level 0, deep in the chain: +-(t b_n + e)
+# with e = 0 or e one of +-b_j, b_j + 1 and 2 b_j for j < n, on terms up
+# to 2^DEEP_BITS. The walk ends at the zero remainder with every lower
+# digit 0, and level 0 keeps its 0.
+DEEP_CHAINS = ("linear", "square", "factorial", "pow2", "poly:1,1", "chain:2,3", "chain:4,6,5",
+               "chain:1073741824,3")
+DEEP_BITS = 3000
+
+
+def deep_values(terms):
+    """+-(t b_n + e) for a few n up to the last b_n <= 2^(DEEP_BITS - 3)."""
+    last = bisect_left(terms, 1 << (DEEP_BITS - 3)) - 1
+    values = set()
+    for n in sorted({1, 2, last // 2, last - 1, last}):
+        for t in (1, 3):
+            for j in sorted({0, 1, n // 2, n - 1}):
+                b = terms[j]
+                for e in (0, b, -b, b + 1, 2 * b):
+                    l = t * terms[n] + e
+                    values.update((l, -l))
+    return sorted(values)
+
+
+@pytest.mark.parametrize("text", DEEP_CHAINS)
+def test_digit_walks_end_at_a_zero_remainder_deep_in_the_chain(text):
+    terms = make_pivots(text).terms_until(1 << DEEP_BITS)
+    ended = 0
+    for l in deep_values(terms):
+        top = bisect_left(terms, abs(l))
+        digits = decompose_digits(l, terms, top)
+        assert digits == per_level_digits(l, terms, top), l
+        assert coefficient_checks(digits, terms) == per_level_checks(digits, terms)
+        ended += len(digits) > 1 and digits[0] == 0
+    assert ended  # some remainder reached 0 above level 0
+
+
 # -- the window scans ----------------------------------------------------------
 
 
@@ -1044,8 +1101,8 @@ def test_mask_positions_on_a_full_mask_is_the_range(step):
     # every segment of a Linear window is such a mask
     for size in (0, 1, 11, 300):
         for start in (0, -7, 10**12):
-            expected = range(start, start + size * step, step)
-            assert mask_positions(bytearray(b"\x01") * size, start, step) == expected
+            expected = list(range(start, start + size * step, step))
+            assert list(mask_positions(bytearray(b"\x01") * size, start, step)) == expected
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 5])
@@ -1060,6 +1117,20 @@ def test_arc_sieve_on_arc_edges(level):
             for lo, hi in [(k, k) for k in edges] + [(-2 * q, 2 * q)]:
                 expected = oracle_mask(lo, hi, [(p, q, level)])
                 assert list(arc_sieve(lo, hi, [(p, q, level)])) == expected, (p, q, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "rest",
+    [[(3, 16, 1)], [(2, 16, 1)], [(0, 12, 1)], [(5, 9, 2), (-1, 40, 1)], [(1, 9, 1), (6, 10, 1)]],
+)
+def test_arc_sieve_on_a_window_it_empties_before_a_condition_with_p_not_1(rest):
+    # (1, 8, 1) strikes every k = 3..5 (mod 8); its q is the least, so the
+    # window is empty before the sieve reaches any condition of ``rest``
+    for lo in (-13, -11, -5, 3, 4, 5, 11, 10**6 + 3):
+        for hi in range(lo, lo + 6 - lo % 8):
+            assert not any(arc_sieve(lo, hi, [(1, 8, 1)]))
+            conds = [(1, 8, 1)] + rest
+            assert list(arc_sieve(lo, hi, conds)) == oracle_mask(lo, hi, conds), (lo, hi)
 
 
 def reference_failing_k(chi, text, m, window):
