@@ -52,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence
 
 from ztop._kernels import (
     arc_sieve,
@@ -92,7 +92,7 @@ class Linear:
         check_nonnegative_int(self.n, "linear neighbourhood index")
 
 
-Family = Union[Uniform, Linear]
+Family = Uniform | Linear
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Union
 
 from ztop.torus import check_positive_int
 
@@ -106,7 +105,7 @@ class MultiplierChain:
         return "chain:" + ",".join(str(m) for m in self.multipliers)
 
 
-PivotDescriptor = Union[TwoPowerExponent, MultiplierChain]
+PivotDescriptor = TwoPowerExponent | MultiplierChain
 
 
 def parse_descriptor(text: str) -> PivotDescriptor:

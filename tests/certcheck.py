@@ -131,7 +131,9 @@ class Chain:
 
 def off_arc(p, q, m):
     """Whether p/q lies outside the closed arc [-1/(4m), 1/(4m)], for q >= 1."""
-    t = p % q
+    # A power-of-two q is masked, not divided: the chains' terms are often
+    # huge powers of two, and p & (q - 1) equals p % q for every int p.
+    t = p & (q - 1) if not q & (q - 1) else p % q
     return 4 * m * min(t, q - t) > q
 
 

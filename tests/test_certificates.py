@@ -8,11 +8,12 @@ with a fixed seed and no example database, so it is the same on every
 run."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, seed, settings
 
-from certcheck import DEFAULT_BUDGET, CheckFailed, check_output
+from certcheck import DEFAULT_BUDGET, CheckFailed, check_output, off_arc
 from test_cli_fuzz import COMMANDS, invocations, run
 from test_golden import CASES, GOLDEN
 
@@ -146,6 +147,33 @@ def test_the_checker_finds_settle_indices_on_either_kind_of_chain(pivots):
     record["settle_index"] += 1
     lines[4] = json.dumps(record)
     with pytest.raises(CheckFailed, match="block at n = 3: settle_index should be"):
+        check_output("\n".join(lines))
+
+
+def test_off_arc_matches_the_distance_to_the_nearest_integer():
+    # q up to 64 holds powers of two, which are masked, and the rest, which are reduced
+    for q in range(1, 65):
+        for p in range(-3 * q, 3 * q + 1):
+            x = Fraction(p, q)
+            for m in (1, 2, 3):
+                assert off_arc(p, q, m) == (abs(x - round(x)) > Fraction(1, 4 * m)), (p, q, m)
+
+
+# 224 terms up to about 50,000 bits, each reduced modulo every two-power b_n
+# up to the first b_n >= 4m|l_j|: the checker masks those, not divides
+LONG_CONVERGE = ["converge", "--pivots", "square", "--sequence", "pivotsucc", "--m", "405", "--horizon", "224"]
+
+
+def test_the_checker_masks_the_terms_of_a_two_power_chain():
+    status, out, _ = run(LONG_CONVERGE, None)
+    assert status == 0
+    lines = out.splitlines()
+    assert check_output(out) == ["converge up to j = 224"]
+    record = json.loads(lines[1])
+    assert record["witnesses"][0] == {"j": 1, "n": 3, "value": "1/32"}
+    record["witnesses"][0]["value"] = "1/64"
+    lines[1] = json.dumps(record)
+    with pytest.raises(CheckFailed, match="the value at j = 1 is not l_j / b_3"):
         check_output("\n".join(lines))
 
 
